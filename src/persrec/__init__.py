@@ -1,8 +1,8 @@
 """Reconstruction of single-variable functions from directional sublevel-set
 persistence diagrams: diagram computation, persistence landscapes, triple-point
-and five-line reconstruction, seeded generators, and a benchmark harness."""
+and five-line reconstruction, and seeded generators."""
 
-from .geometry import Angle, Line, ParallelLines, Point2, angle_for_slope, intersect, slope_of
+from .geometry import Angle, ParallelLines, Point2, angle_for_slope, intersect, slope_of
 from .persistence import (
     CriticalKind,
     CriticalPoint,
@@ -59,6 +59,5 @@ from .generators import (
     gen_spline,
     generate,
 )
-from .bench import BenchResult, run_bench, write_csv
 
 __version__ = "0.1.0"

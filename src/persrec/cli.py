@@ -1,5 +1,5 @@
-"""Command-line front end wiring generators, diagrams, landscapes,
-reconstructions, and the benchmark into file-based pipelines.
+"""Command-line front end wiring generators, diagrams, landscapes, and
+reconstructions into file-based pipelines.
 
 Angles are degrees everywhere on the CLI and in files. Every randomized
 command requires --seed, so identical invocations produce identical files.
@@ -15,7 +15,6 @@ import sys
 
 import numpy as np
 
-from .bench import run_bench, write_csv
 from .generators import gen_harmonic, gen_pl, gen_spline
 from .geometry import Angle, Point2
 from .landscape import Landscape, landscapes, reconstruct_from_landscapes
@@ -205,17 +204,6 @@ def cmd_reconstruct_landscapes(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s]
-    results = run_bench(sizes, args.seed, repetitions=args.reps)
-    if args.out:
-        with open(args.out, "w") as fh:
-            write_csv(results, fh, repetitions=args.reps)
-    else:
-        write_csv(results, sys.stdout, repetitions=args.reps)
-    return 0
-
-
 def _load_points(data) -> list[tuple[float, float]]:
     if isinstance(data, dict) and "vertices" in data:
         return [(float(x), float(y)) for x, y in data["vertices"]]
@@ -301,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     rp.add_argument("--start", required=True, help="x,y of the left boundary point")
     rp.add_argument("--end", required=True, help="x,y of the right boundary point")
     rp.add_argument("--algorithm", choices=("rolling", "naive"), default="rolling")
-    rp.add_argument("--match-tol", type=float, default=1e-6)
+    rp.add_argument("--match-tol", type=float, default=TripleConfig.match_tol)
     rp.add_argument("--strict", action="store_true")
     rp.add_argument("--out")
     rp.add_argument("--emit-plot-data", metavar="PATH")
@@ -309,9 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     rs = sub.add_parser("reconstruct-smooth", help="five-line reconstruction of a sampled function")
     rs.add_argument("--in", dest="infile", required=True)
-    rs.add_argument("--tau", type=float, default=0.08)
-    rs.add_argument("--steep-deg", type=float, default=30.0)
-    rs.add_argument("--shallow-deg", type=float, default=0.1)
+    rs.add_argument("--tau", type=float, default=SmoothConfig.tau)
+    rs.add_argument("--steep-deg", type=float, default=SmoothConfig.steep_deg)
+    rs.add_argument("--shallow-deg", type=float, default=SmoothConfig.shallow_deg)
     rs.add_argument("--out")
     rs.add_argument("--emit-plot-data", metavar="PATH")
     rs.set_defaults(func=cmd_reconstruct_smooth)
@@ -323,13 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     rl.add_argument("--out")
     rl.add_argument("--emit-plot-data", metavar="PATH")
     rl.set_defaults(func=cmd_reconstruct_landscapes)
-
-    b = sub.add_parser("bench", help="naive vs rolling ball timing and comparison counts")
-    b.add_argument("--sizes", default="5,10,25,50,100,150,200")
-    b.add_argument("--seed", type=int, required=True)
-    b.add_argument("--reps", type=int, default=5)
-    b.add_argument("--out")
-    b.set_defaults(func=cmd_bench)
 
     v = sub.add_parser("verify", help="check recovered points against a ground-truth file")
     v.add_argument("--points", required=True)

@@ -1,4 +1,4 @@
-"""Planar primitives: direction angles, points, lines, and pairwise line intersection.
+"""Planar primitives: direction angles, points, and pairwise line intersection.
 
 A line is parametrized by a direction angle theta in (0, pi) and a height t:
 it is the point set {(x, y) : x*cos(theta) + y*sin(theta) = t}, i.e. the line
@@ -48,14 +48,6 @@ class Point2:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError(f"point coordinates must be finite, got ({self.x!r}, {self.y!r})")
-
-
-@dataclass(frozen=True)
-class Line:
-    """The line {(x, y) : x*cos(angle) + y*sin(angle) = height}."""
-
-    angle: Angle
-    height: float
 
 
 def slope_of(angle: Angle) -> float:

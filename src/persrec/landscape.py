@@ -12,6 +12,10 @@ vertex (zero, becoming positive) contributes its own t-coordinate; interior
 maxima and minima contribute 2*(t - previous/2); landing vertices repeat the
 previous value and are skipped. Every emitted value is a critical value
 (a birth or a finite death) of the source diagram.
+
+Decoded values are matched back to the sample extrema picked out by
+`persistence.extremal_indices`, the same rule that reduces the path before
+the diagram sweep.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .persistence import CriticalKind, CriticalPoint, Diagram
+from .persistence import CriticalKind, CriticalPoint, Diagram, extremal_indices
 
 # Threshold on the squared difference (samples - y)**2 when matching decoded
 # critical values back to sample indices.
@@ -136,11 +140,15 @@ def landscapes_from_pairs(pairs: list[tuple[float, float]], max_k: int) -> list[
 
     betas = np.array([b for b, _ in pts])
     deltas = np.array([dd for _, dd in pts])
-    cands = np.unique(np.concatenate([betas, deltas, ((betas[:, None] + deltas[None, :]) / 2.0).ravel()]))
-    # half-sums of distinct pairs can land a few ulps apart; such micro-gaps
-    # are rounding artifacts, never genuine landscape vertices
+    ends = np.concatenate([betas, deltas])
+    cands = np.unique(np.concatenate([ends, ((betas[:, None] + deltas[None, :]) / 2.0).ravel()]))
+    # half-sums can land a few ulps apart, or a few ulps off a birth or death;
+    # such micro-gaps are rounding artifacts, never genuine landscape vertices.
+    # Each cluster keeps its smallest birth or death, else its smallest half-sum.
     tol = 1e-12 * max(1.0, float(np.max(np.abs(cands))))
-    cands = cands[np.concatenate([[True], np.diff(cands) > tol])]
+    cluster = np.cumsum(np.concatenate([[False], np.diff(cands) > tol]))
+    order = np.lexsort((~np.isin(cands, ends), cluster))
+    cands = cands[order][np.concatenate([[True], np.diff(cluster[order]) != 0])]
 
     # tent values: one row per diagram point, one column per candidate
     vals = np.maximum(0.0, np.minimum(cands[None, :] - betas[:, None], deltas[:, None] - cands[None, :]))
@@ -208,36 +216,14 @@ def get_y_values(l: Landscape) -> list[float]:
     return ys
 
 
-def _collapsed_extrema(samples: np.ndarray) -> list[int]:
-    """Indices of local extrema of a sample sequence.
-
-    Runs of consecutive equal samples count as one point (represented by the
-    first index of the run); the two boundary points are classified one-sided,
-    so a boundary sample below (above) its neighbour counts as an extremum.
-    """
-    runs = [0]
-    for i in range(1, len(samples)):
-        if samples[i] != samples[runs[-1]]:
-            runs.append(i)
-    if len(runs) == 1:
-        return [0]
-    ext = [runs[0]]
-    for j in range(1, len(runs) - 1):
-        prev, cur, nxt = samples[runs[j - 1]], samples[runs[j]], samples[runs[j + 1]]
-        if (cur - prev > 0) != (nxt - cur > 0):
-            ext.append(runs[j])
-    ext.append(runs[-1])
-    return ext
-
-
 def _matching_indices(y_values: list[float], samples: np.ndarray) -> list[int]:
     samples = np.asarray(samples, dtype=float)
-    ext = np.array(_collapsed_extrema(samples), dtype=int)
-    hit: set[int] = set()
+    ext = extremal_indices(samples)
+    values = samples[ext]
+    hit = np.zeros(len(ext), dtype=bool)
     for y in y_values:
-        close = (samples[ext] - y) ** 2 < MATCH_THRESHOLD
-        hit.update(int(i) for i in ext[close])
-    return sorted(hit)
+        hit |= (values - y) ** 2 < MATCH_THRESHOLD
+    return ext[hit].tolist()
 
 
 def get_x_values(y_values: list[float], samples, xs) -> list[float]:
@@ -256,14 +242,10 @@ def reconstruct_from_landscapes(selected: list[Landscape], samples, xs) -> list[
     vertical-direction landscapes; all nonzero levels recover them all."""
     samples = np.asarray(samples, dtype=float)
     xs = np.asarray(xs, dtype=float)
-    indices: set[int] = set()
-    for l in selected:
-        if l.is_zero:
-            continue
-        indices.update(_matching_indices(get_y_values(l), samples))
+    y_values = [y for l in selected if not l.is_zero for y in get_y_values(l)]
 
     out = []
-    for i in sorted(indices):
+    for i in _matching_indices(y_values, samples):
         if i == 0 or i == len(samples) - 1:
             kind = CriticalKind.ENDPOINT
         else:

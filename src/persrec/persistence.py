@@ -10,6 +10,11 @@ with the larger birth dies (elder rule).
 
 Critical lines are read off the diagram: every birth and every finite death
 is the height of one critical line orthogonal to the direction.
+
+One extremum rule serves the whole package: `extremal_indices` reduces the
+sweep's path to its extrema, picks out the critical vertices for
+`critical_points` and `is_admissible`, and picks out the sample extrema that
+landscape decoding matches critical values against.
 """
 
 from __future__ import annotations
@@ -155,14 +160,14 @@ class Diagram:
 
 def critical_points(f: PLFunction) -> list[CriticalPoint]:
     """Endpoints plus interior vertices where the segment slope changes sign, by x."""
-    out = [CriticalPoint(float(f.xs[0]), float(f.ys[0]), CriticalKind.ENDPOINT)]
-    dy = np.diff(f.ys)
-    for i in range(1, len(f) - 1):
-        if dy[i - 1] > 0 > dy[i]:
-            out.append(CriticalPoint(float(f.xs[i]), float(f.ys[i]), CriticalKind.LOCAL_MAX))
-        elif dy[i - 1] < 0 < dy[i]:
-            out.append(CriticalPoint(float(f.xs[i]), float(f.ys[i]), CriticalKind.LOCAL_MIN))
-    out.append(CriticalPoint(float(f.xs[-1]), float(f.ys[-1]), CriticalKind.ENDPOINT))
+    last = len(f) - 1
+    out = []
+    for i in extremal_indices(f.ys):
+        if i == 0 or i == last:
+            kind = CriticalKind.ENDPOINT
+        else:
+            kind = CriticalKind.LOCAL_MAX if f.ys[i] > f.ys[i - 1] else CriticalKind.LOCAL_MIN
+        out.append(CriticalPoint(float(f.xs[i]), float(f.ys[i]), kind))
     return out
 
 
@@ -188,12 +193,8 @@ def is_admissible(f: PLFunction, v: Angle) -> bool:
     if s == 0.0:
         return True
     slopes = np.abs(f.slopes())
-    dy = np.diff(f.ys)
-    for i in range(1, len(f) - 1):
-        if (dy[i - 1] > 0) != (dy[i] > 0):  # interior critical vertex
-            if s >= slopes[i - 1] or s >= slopes[i]:
-                return False
-    return True
+    interior = extremal_indices(f.ys)[1:-1]
+    return bool(np.all((s < slopes[interior - 1]) & (s < slopes[interior])))
 
 
 def projections(f: PLFunction, v: Angle) -> np.ndarray:
@@ -201,18 +202,16 @@ def projections(f: PLFunction, v: Angle) -> np.ndarray:
     return f.xs * math.cos(v.theta) + f.ys * math.sin(v.theta)
 
 
-def _extremal_subpath(h: np.ndarray) -> np.ndarray:
-    """Indices of a reduced path with the same sublevel-set components.
+def extremal_indices(h: np.ndarray) -> np.ndarray:
+    """Indices of the endpoints and strict local extrema of a sequence.
 
-    Collapses exact ties between consecutive projections (keeping the first
-    vertex of each run, i.e. the smallest x) and then keeps only endpoints and
-    strict local extrema. Monotone interior runs never change the component
-    count, so the diagram of the reduced path equals the full one.
+    A run of equal consecutive values counts as one point, represented by its
+    first index (the smallest x); a constant sequence reduces to [0]. Along a
+    path, monotone interior runs never change the sublevel-set component
+    count, so the path through these indices has the same diagram.
     """
-    if len(h) <= 2:
-        return np.arange(len(h))
-    idx = np.nonzero(np.concatenate([[True], np.diff(h) != 0.0]))[0]
-    if len(idx) == 1:
+    idx = np.flatnonzero(np.diff(h, prepend=np.nan) != 0.0)
+    if len(idx) <= 1:
         return idx
     d = np.diff(h[idx])
     sign_change = (d[:-1] > 0) != (d[1:] > 0)
@@ -229,7 +228,7 @@ def directional_diagram(f: PLFunction, v: Angle) -> Diagram:
     (birth == death) are discarded.
     """
     h_full = projections(f, v)
-    sub = _extremal_subpath(h_full)
+    sub = extremal_indices(h_full)
     h = h_full[sub]
     m = len(h)
 

@@ -50,8 +50,9 @@ class TripleConfig:
         if self.match_tol <= 0:
             raise ValueError("match_tol must be positive")
 
+    # the default of match_tol below is the field default above (class scope)
     @classmethod
-    def default(cls, start: Point2, end: Point2, match_tol: float = 1e-6) -> "TripleConfig":
+    def default(cls, start: Point2, end: Point2, match_tol: float = match_tol) -> "TripleConfig":
         return cls(
             Angle.from_degrees(90.0),
             Angle.from_degrees(85.0),

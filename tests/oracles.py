@@ -23,7 +23,9 @@ def sublevel_intervals(xs, hs, t):
         if h0 <= t and h1 <= t:
             raw.append((x0, x1))
         elif h0 <= t < h1 or h1 <= t < h0:
-            xc = x0 + (t - h0) * (x1 - x0) / (h1 - h0)
+            # at t == h1 the formula can land an ulp past x1, splitting one
+            # component in two
+            xc = x1 if t == h1 else x0 + (t - h0) * (x1 - x0) / (h1 - h0)
             raw.append((x0, xc) if h0 <= t else (xc, x1))
     raw.sort()
     merged = []
@@ -33,6 +35,16 @@ def sublevel_intervals(xs, hs, t):
         else:
             merged.append([lo, hi])
     return [(lo, hi) for lo, hi in merged]
+
+
+def extrema_by_scan(h):
+    """Endpoints and strict local extrema of a sequence by a plain scan, each
+    run of equal values counted once at its first index."""
+    runs = [i for i in range(len(h)) if i == 0 or h[i] != h[i - 1]]
+    if len(runs) == 1:
+        return runs
+    inner = [b for a, b, c in zip(runs, runs[1:], runs[2:]) if (h[b] > h[a]) != (h[c] > h[b])]
+    return [runs[0], *inner, runs[-1]]
 
 
 def brute_force_diagram(f: PLFunction, theta: float):

@@ -131,14 +131,6 @@ def test_reconstruct_smooth_rejects_vertex_input(tmp_path):
     assert run(["reconstruct-smooth", "--in", f]) == 1
 
 
-def test_bench_csv(tmp_path):
-    out = tmp_path / "bench.csv"
-    assert run(["bench", "--sizes", "5,10", "--seed", 1, "--reps", 1, "--out", out]) == 0
-    lines = out.read_text().strip().splitlines()
-    assert lines[1] == "n,naive_s,optimized_s,naive_count,optimized_count,speedup"
-    assert len(lines) == 4
-
-
 def test_emit_plot_data(tmp_path):
     f = tmp_path / "f.json"
     dat = tmp_path / "f.dat"

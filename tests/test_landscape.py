@@ -123,6 +123,15 @@ def test_get_y_values_rejects_zero_landscape():
         get_y_values(Landscape(1, ()))
 
 
+def test_death_wins_over_a_half_sum_rounded_onto_it():
+    # (0.47 + 4.93) / 2 rounds to 2.6999999999999997, within the vertex
+    # dedupe tolerance of the death 2.7; the death must stay the vertex
+    l2 = landscapes_from_pairs([(0.0, 4.93), (0.47, 2.7)], 2)[1]
+    assert l2.vertices[-1] == (2.7, 0.0)
+    assert classify_vertex(l2, len(l2.vertices) - 1) is VertexClass.LANDING
+    assert get_y_values(l2) == [0.47, 2.7]
+
+
 def test_crossing_diagram_decodes_to_value_set_with_duplicates():
     # crossing bars make the overlap tent appear at level 2, so 3 and 6 decode
     # twice across levels while appearing once among births and deaths
@@ -151,6 +160,16 @@ def test_reconstruct_from_all_landscapes_recovers_interior_points():
     assert {(0.5, 4.0), (2.0, 0.5)} <= got
     extras = got - {(0.5, 4.0), (2.0, 0.5)}
     assert not extras
+
+
+def test_reconstruct_reports_first_sample_of_a_flat_extremum():
+    xs = np.linspace(0.0, 6.0, 7)
+    ys = np.array([0.5, 1.0, 3.0, 3.0, 3.0, 1.0, 0.0])
+    pts = reconstruct_from_landscapes(landscapes_from_pairs([(0.0, 3.0)], 1), ys, xs)
+    assert [(p.x, p.y, p.kind) for p in pts] == [
+        (2.0, 3.0, CriticalKind.LOCAL_MAX),
+        (6.0, 0.0, CriticalKind.ENDPOINT),
+    ]
 
 
 def test_reconstruct_from_no_landscapes_is_empty():

@@ -13,11 +13,12 @@ from persrec.persistence import (
     critical_heights,
     critical_points,
     directional_diagram,
+    extremal_indices,
     is_admissible,
     min_abs_slope,
 )
 
-from oracles import brute_force_diagram
+from oracles import brute_force_diagram, extrema_by_scan
 
 VERTICAL = Angle(math.pi / 2)
 FIG_VERTICES = ([0.0, 0.5, 2.0, 4.0], [2.5, 4.0, 0.5, 2.5])
@@ -158,6 +159,28 @@ def test_admissibility_of_worked_example():
     assert is_admissible(f, Angle.from_degrees(60.0))
     assert not is_admissible(f, Angle(math.atan(0.1)))
     assert is_admissible(f, VERTICAL)
+
+
+@pytest.mark.parametrize(
+    "h,expected",
+    [
+        ([0.0, 1.0, 1.0, 1.0, 0.0], [0, 1, 4]),  # a plateau counts once, by its first index
+        ([2.0, 2.0, 2.0], [0]),
+        ([2.0, 2.0], [0]),
+        ([2.0], [0]),
+        ([], []),
+        ([0.0, 1.0, 3.0, 3.5], [0, 3]),
+    ],
+    ids=["plateau", "constant", "two-equal", "single", "empty", "monotone"],
+)
+def test_extremal_indices(h, expected):
+    assert extremal_indices(np.array(h)).tolist() == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=30))
+def test_extremal_indices_match_scan_oracle(values):
+    assert extremal_indices(np.array(values, dtype=float)).tolist() == extrema_by_scan(values)
 
 
 # ---------------------------------------------------------------------------
