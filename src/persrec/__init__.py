@@ -21,12 +21,10 @@ from .landscape import (
     Landscape,
     VertexClass,
     classify_vertex,
-    get_x_values,
     get_y_values,
     landscapes,
     landscapes_from_pairs,
     reconstruct_from_landscapes,
-    tent,
 )
 from .reconstruct_pl import (
     OpCounter,
@@ -51,13 +49,10 @@ from .reconstruct_smooth import (
 )
 from .generators import (
     GenerationExhausted,
-    GenFamily,
-    GenSpec,
     NaturalCubicSpline,
     gen_harmonic,
     gen_pl,
     gen_spline,
-    generate,
 )
 
 __version__ = "0.1.0"

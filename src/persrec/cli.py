@@ -87,16 +87,12 @@ def cmd_gen(args) -> int:
     domain = _parse_domain(args.domain)
     if args.family == "pl":
         f, truth = gen_pl(args.n, args.seed, domain)
-        func_dict = f.to_dict()
-        pairs = list(zip(f.xs.tolist(), f.ys.tolist()))
     elif args.family == "harmonic":
         f, truth = gen_harmonic(args.seed, domain, samples_per_unit=args.samples_per_unit)
-        func_dict = f.to_dict()
-        pairs = list(zip(f.xs.tolist(), f.ys.tolist()))
     else:
         f, truth = gen_spline(args.seed, domain, knots=args.knots, samples_per_unit=args.samples_per_unit)
-        func_dict = f.to_dict()
-        pairs = list(zip(f.xs.tolist(), f.ys.tolist()))
+    func_dict = f.to_dict()
+    pairs = list(zip(f.xs.tolist(), f.ys.tolist()))
 
     truth_dict = {"critical_points": critical_points_to_dicts(truth)}
     if args.out:
@@ -112,12 +108,9 @@ def cmd_gen(args) -> int:
 def cmd_diagram(args) -> int:
     f = _load_function(_read_json(args.infile))
     v = Angle.from_degrees(args.angle_deg)
-    if isinstance(f, SampledFunction):
-        d = directional_diagram(pl_proxy(f), v)
-        out = d.to_dict()
-    else:
-        d = directional_diagram(f, v)
-        out = d.to_dict()
+    sampled = isinstance(f, SampledFunction)
+    out = directional_diagram(pl_proxy(f) if sampled else f, v).to_dict()
+    if not sampled:
         out["admissible"] = is_admissible(f, v)
         if not out["admissible"]:
             print(f"warning: direction {args.angle_deg} deg is not admissible for this function", file=sys.stderr)

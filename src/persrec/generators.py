@@ -11,9 +11,7 @@ can be checked against exact answers.
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
@@ -342,39 +340,3 @@ def gen_spline(
     func = SplineFunction(xs, spline(xs), spline)
     return func, spline.critical_points()
 
-
-# ---------------------------------------------------------------------------
-# common front end
-
-class GenFamily(enum.Enum):
-    RANDOM_PL = "pl"
-    HARMONIC = "harmonic"
-    SPLINE = "spline"
-
-
-@dataclass(frozen=True)
-class GenSpec:
-    """One generator request. `n` is the interior critical count for the PL
-    family and the knot count for splines; the harmonic family ignores it
-    (its count is pinned to the 20..30 target range)."""
-
-    family: GenFamily
-    n: int
-    seed: int
-    domain: tuple[float, float] = (0.0, 1.0)
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if not self.domain[0] < self.domain[1]:
-            raise ValueError("domain must satisfy a < b")
-
-
-def generate(spec: GenSpec):
-    if spec.family is GenFamily.RANDOM_PL:
-        return gen_pl(spec.n, spec.seed, spec.domain)
-    if spec.family is GenFamily.HARMONIC:
-        return gen_harmonic(spec.seed, spec.domain)
-    if spec.family is GenFamily.SPLINE:
-        return gen_spline(spec.seed, spec.domain, knots=spec.n)
-    raise ValueError(f"unknown family {spec.family!r}")

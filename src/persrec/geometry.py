@@ -5,6 +5,11 @@ it is the point set {(x, y) : x*cos(theta) + y*sin(theta) = t}, i.e. the line
 orthogonal to the unit vector e^{i*theta} whose signed offset from the origin
 is t. For theta != pi/2 its slope is -1/tan(theta); for theta = pi/2 it is the
 horizontal line y = t.
+
+`intersect` is the closed form for the crossing of two such lines; only the
+rolling-ball sweep in `reconstruct_pl` keeps an inline copy, for speed. Its
+heights broadcast as numpy arrays, so one call meets a line with a whole
+family of parallel ones.
 """
 
 from __future__ import annotations
@@ -70,12 +75,15 @@ def angle_for_slope(slope: float) -> Angle:
     return Angle(math.pi / 2 + math.atan(slope))
 
 
-def intersect(a0: Angle, t0: float, a1: Angle, t1: float) -> Point2:
-    """Intersection point of the lines (a0, t0) and (a1, t1).
+def intersect(a0: Angle, t0, a1: Angle, t1):
+    """Intersection (x, y) of the lines (a0, t0) and (a1, t1).
 
     Closed form: with s = sin(theta0 - theta1),
         x = (t1*sin(theta0) - t0*sin(theta1)) / s
         y = (t0*cos(theta1) - t1*cos(theta0)) / s
+
+    The heights may be numpy arrays; they broadcast against each other, and
+    every element is the same float that a scalar call returns.
 
     Raises ParallelLines when |s| < PARALLEL_TOL; same-direction critical
     lines never meet, so hitting this signals caller misuse.
@@ -87,4 +95,4 @@ def intersect(a0: Angle, t0: float, a1: Angle, t1: float) -> Point2:
         )
     x = (t1 * math.sin(a0.theta) - t0 * math.sin(a1.theta)) / s
     y = (t0 * math.cos(a1.theta) - t1 * math.cos(a0.theta)) / s
-    return Point2(x, y)
+    return x, y

@@ -13,9 +13,9 @@ maxima and minima contribute 2*(t - previous/2); landing vertices repeat the
 previous value and are skipped. Every emitted value is a critical value
 (a birth or a finite death) of the source diagram.
 
-Decoded values are matched back to the sample extrema picked out by
-`persistence.extremal_indices`, the same rule that reduces the path before
-the diagram sweep.
+Decoded values are matched back to the sample extrema of
+`persistence.extremal_points`, so decoding shares the diagram sweep's one
+extremum rule and `critical_points`' one kind rule.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .persistence import CriticalKind, CriticalPoint, Diagram, extremal_indices
+from .persistence import CriticalPoint, Diagram, extremal_points
 
 # Threshold on the squared difference (samples - y)**2 when matching decoded
 # critical values back to sample indices.
@@ -73,11 +73,6 @@ class Landscape:
     @classmethod
     def from_dict(cls, data: dict) -> "Landscape":
         return cls(int(data["level"]), tuple((float(t), float(u)) for t, u in data["vertices"]))
-
-
-def tent(beta: float, delta: float, t: float) -> float:
-    """Tent function of one diagram point: max{0, min{t - beta, delta - t}}."""
-    return max(0.0, min(t - beta, delta - t))
 
 
 def capped_points(d: Diagram, essential_cap: float | None = None) -> list[tuple[float, float]]:
@@ -216,41 +211,13 @@ def get_y_values(l: Landscape) -> list[float]:
     return ys
 
 
-def _matching_indices(y_values: list[float], samples: np.ndarray) -> list[int]:
-    samples = np.asarray(samples, dtype=float)
-    ext = extremal_indices(samples)
-    values = samples[ext]
-    hit = np.zeros(len(ext), dtype=bool)
-    for y in y_values:
-        hit |= (values - y) ** 2 < MATCH_THRESHOLD
-    return ext[hit].tolist()
-
-
-def get_x_values(y_values: list[float], samples, xs) -> list[float]:
-    """x-grid positions of sample extrema whose value matches a decoded
-    critical value to within the fixed squared-difference threshold.
-
-    Several critical points sharing (almost) one y-value are all retrieved.
-    An empty result simply means no extremum matched.
-    """
-    xs = np.asarray(xs, dtype=float)
-    return [float(xs[i]) for i in _matching_indices(y_values, samples)]
-
-
 def reconstruct_from_landscapes(selected: list[Landscape], samples, xs) -> list[CriticalPoint]:
     """Critical points of a sampled function recovered from a subset of its
-    vertical-direction landscapes; all nonzero levels recover them all."""
-    samples = np.asarray(samples, dtype=float)
-    xs = np.asarray(xs, dtype=float)
-    y_values = [y for l in selected if not l.is_zero for y in get_y_values(l)]
+    vertical-direction landscapes; all nonzero levels recover them all.
 
-    out = []
-    for i in _matching_indices(y_values, samples):
-        if i == 0 or i == len(samples) - 1:
-            kind = CriticalKind.ENDPOINT
-        else:
-            # extremum indices are run representatives (first of the run), so
-            # the left neighbour always differs
-            kind = CriticalKind.LOCAL_MIN if samples[i - 1] > samples[i] else CriticalKind.LOCAL_MAX
-        out.append(CriticalPoint(float(xs[i]), float(samples[i]), kind))
-    return out
+    A sample extremum is kept when its value lies within the squared-difference
+    threshold of a decoded critical value, so several critical points sharing
+    (almost) one y-value are all retrieved.
+    """
+    y_values = np.array([y for l in selected if not l.is_zero for y in get_y_values(l)])
+    return [p for p in extremal_points(xs, samples) if np.any((y_values - p.y) ** 2 < MATCH_THRESHOLD)]

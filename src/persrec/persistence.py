@@ -11,10 +11,12 @@ with the larger birth dies (elder rule).
 Critical lines are read off the diagram: every birth and every finite death
 is the height of one critical line orthogonal to the direction.
 
-One extremum rule serves the whole package: `extremal_indices` reduces the
-sweep's path to its extrema, picks out the critical vertices for
-`critical_points` and `is_admissible`, and picks out the sample extrema that
-landscape decoding matches critical values against.
+One extremum rule and one kind rule serve the whole package, and landscape
+decoding shares both. `extremal_indices` reduces the sweep's path to its
+extrema and picks out the critical vertices for `is_admissible`.
+`extremal_points` tags the points at those indices as endpoint, minimum or
+maximum; it gives `critical_points` and the sample extrema that landscape
+decoding matches critical values against.
 """
 
 from __future__ import annotations
@@ -22,11 +24,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .geometry import Angle, Point2, slope_of
+from .geometry import Angle, slope_of
 
 
 class CriticalKind(enum.Enum):
@@ -67,16 +69,6 @@ class PLFunction:
             raise ValueError("horizontal segments are not allowed")
         self.xs = xs
         self.ys = ys
-
-    @classmethod
-    def from_vertices(cls, vertices: Sequence[tuple[float, float] | Point2]) -> "PLFunction":
-        xs = [v.x if isinstance(v, Point2) else v[0] for v in vertices]
-        ys = [v.y if isinstance(v, Point2) else v[1] for v in vertices]
-        return cls(xs, ys)
-
-    @property
-    def vertices(self) -> list[Point2]:
-        return [Point2(float(x), float(y)) for x, y in zip(self.xs, self.ys)]
 
     @property
     def domain(self) -> tuple[float, float]:
@@ -160,15 +152,7 @@ class Diagram:
 
 def critical_points(f: PLFunction) -> list[CriticalPoint]:
     """Endpoints plus interior vertices where the segment slope changes sign, by x."""
-    last = len(f) - 1
-    out = []
-    for i in extremal_indices(f.ys):
-        if i == 0 or i == last:
-            kind = CriticalKind.ENDPOINT
-        else:
-            kind = CriticalKind.LOCAL_MAX if f.ys[i] > f.ys[i - 1] else CriticalKind.LOCAL_MIN
-        out.append(CriticalPoint(float(f.xs[i]), float(f.ys[i]), kind))
-    return out
+    return extremal_points(f.xs, f.ys)
 
 
 def interior_critical_points(f: PLFunction) -> list[CriticalPoint]:
@@ -216,6 +200,23 @@ def extremal_indices(h: np.ndarray) -> np.ndarray:
     d = np.diff(h[idx])
     sign_change = (d[:-1] > 0) != (d[1:] > 0)
     return np.concatenate([idx[:1], idx[1:-1][sign_change], idx[-1:]])
+
+
+def extremal_points(xs, ys) -> list[CriticalPoint]:
+    """The points at `extremal_indices(ys)`, each with its kind: the two ends
+    are ENDPOINT, an interior point is LOCAL_MAX when it rises from its left
+    neighbour and LOCAL_MIN otherwise. Interior indices are run
+    representatives (first of a run), so the left neighbour always differs."""
+    ys = np.asarray(ys, dtype=float)
+    last = len(ys) - 1
+    out = []
+    for i in extremal_indices(ys):
+        if i == 0 or i == last:
+            kind = CriticalKind.ENDPOINT
+        else:
+            kind = CriticalKind.LOCAL_MAX if ys[i] > ys[i - 1] else CriticalKind.LOCAL_MIN
+        out.append(CriticalPoint(float(xs[i]), float(ys[i]), kind))
+    return out
 
 
 def directional_diagram(f: PLFunction, v: Angle) -> Diagram:
@@ -280,7 +281,3 @@ def critical_heights(d: Diagram) -> list[float]:
 
 def critical_points_to_dicts(points: Iterable[CriticalPoint]) -> list[dict]:
     return [{"x": p.x, "y": p.y, "kind": p.kind.value} for p in points]
-
-
-def critical_points_from_dicts(data: Iterable[dict]) -> list[CriticalPoint]:
-    return [CriticalPoint(float(d["x"]), float(d["y"]), CriticalKind(d["kind"])) for d in data]

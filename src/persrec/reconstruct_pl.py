@@ -8,8 +8,12 @@ T-heights sorted decreasing and the R-heights increasing, both crossing
 sequences along a fixed S-line run left to right, so a two-pointer sweep
 discards one line per comparison and needs at most 2n log n + 2n^2 operations.
 
-Both functions are deliberately plain scalar loops with precomputed trig so
-their wall-clock ratio reflects algorithmic work, not vectorization tricks.
+`naive_reconstruct` is the oracle: per T-line it meets all S- and R-lines at
+once through the broadcast `geometry.intersect`. `rolling_ball_reconstruct`
+keeps a scalar sweep, whose comparison count the tests pin against the paper's
+bound. It keeps its own inline copy of the closed form with precomputed trig,
+because a call per crossing made it markedly slower on small functions; its
+copy stays independent of the oracle, and the tests compare the two outputs.
 """
 
 from __future__ import annotations
@@ -19,7 +23,9 @@ from dataclasses import dataclass
 from functools import cmp_to_key
 from typing import Callable, Sequence
 
-from .geometry import Angle, Point2
+import numpy as np
+
+from .geometry import Angle, Point2, intersect
 
 
 @dataclass
@@ -100,28 +106,23 @@ def naive_reconstruct(
     """Exhaustive triple search: every (t, s, r) whose pairwise intersections
     coincide within match_tol yields one point. Start and end are always
     included; output is sorted by x."""
-    sin0, cos0 = math.sin(cfg.theta0.theta), math.cos(cfg.theta0.theta)
-    sin1, cos1 = math.sin(cfg.theta1.theta), math.cos(cfg.theta1.theta)
-    sin2, cos2 = math.sin(cfg.theta2.theta), math.cos(cfg.theta2.theta)
-    den01 = math.sin(cfg.theta0.theta - cfg.theta1.theta)
-    den02 = math.sin(cfg.theta0.theta - cfg.theta2.theta)
+    ss = np.asarray(s_heights, dtype=float)[:, None]
+    rs = np.asarray(r_heights, dtype=float)
     tol2 = cfg.match_tol * cfg.match_tol
 
     x_lo, x_hi = cfg.x_window
     found: list[tuple[float, float]] = [(cfg.start.x, cfg.start.y), (cfg.end.x, cfg.end.y)]
-    tick = counter.tick if counter is not None else None
     for t in t_heights:
-        for s in s_heights:
-            x_ts = (s * sin0 - t * sin1) / den01
-            y_ts = (t * cos1 - s * cos0) / den01
-            for r in r_heights:
-                if tick is not None:
-                    tick()
-                x_tr = (r * sin0 - t * sin2) / den02
-                y_tr = (t * cos2 - r * cos0) / den02
-                dx, dy = x_ts - x_tr, y_ts - y_tr
-                if dx * dx + dy * dy < tol2 and x_lo <= x_tr <= x_hi:
-                    _push(found, x_tr, y_tr, tol2)
+        if counter is not None:
+            counter.tick(ss.size * rs.size)
+        # rows follow S, columns R: the T-line's crossings with every S-line
+        # against its crossings with every R-line
+        x_ts, y_ts = intersect(cfg.theta0, t, cfg.theta1, ss)
+        x_tr, y_tr = intersect(cfg.theta0, t, cfg.theta2, rs)
+        dx, dy = x_ts - x_tr, y_ts - y_tr
+        hit = (dx * dx + dy * dy < tol2) & (x_lo <= x_tr) & (x_tr <= x_hi)
+        for j in np.nonzero(hit)[1]:
+            _push(found, float(x_tr[j]), float(y_tr[j]), tol2)
     found.sort()
     return [Point2(x, y) for x, y in found]
 

@@ -47,6 +47,21 @@ def extrema_by_scan(h):
     return [runs[0], *inner, runs[-1]]
 
 
+def kinds_by_scan(h):
+    """(index, kind) of each extremum of `extrema_by_scan`. The first and last
+    samples are endpoints; any other extremum is a max when the nearest
+    different value beside it is lower. A flat final run has no different
+    value to its right, so it goes by its left neighbour."""
+    out = []
+    for i in extrema_by_scan(h):
+        if i == 0 or i == len(h) - 1:
+            out.append((i, "endpoint"))
+            continue
+        beside = next((v for v in h[i + 1:] if v != h[i]), h[i - 1])
+        out.append((i, "max" if beside < h[i] else "min"))
+    return out
+
+
 def brute_force_diagram(f: PLFunction, theta: float):
     """H0 persistence of the sublevel filtration by explicit interval tracking.
 

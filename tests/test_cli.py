@@ -17,13 +17,20 @@ def read_json(path):
 
 
 def test_gen_pl_writes_function_and_truth(tmp_path):
-    out = tmp_path / "f.json"
-    assert run(["gen", "pl", "--n", 5, "--seed", 42, "--out", out]) == 0
-    func = read_json(out)
-    truth = read_json(tmp_path / "f.truth.json")
-    assert len(func["vertices"]) == 7
-    assert len(truth["critical_points"]) == 5
-    assert {c["kind"] for c in truth["critical_points"]} == {"min", "max"}
+    # all three families share one body; smooth ones at a coarse grid
+    for family, args, n_samples in [
+        ("pl", ["--n", 5], 7),
+        ("harmonic", ["--samples-per-unit", 200], 201),
+        ("spline", ["--samples-per-unit", 200, "--knots", 12], 201),
+    ]:
+        out = tmp_path / f"{family}.json"
+        assert run(["gen", family, *args, "--seed", 42, "--out", out]) == 0
+        func = read_json(out)
+        truth = read_json(tmp_path / f"{family}.truth.json")
+        assert len(func["vertices"] if family == "pl" else func["xs"]) == n_samples
+        if family == "pl":
+            assert len(truth["critical_points"]) == 5
+        assert {c["kind"] for c in truth["critical_points"]} == {"min", "max"}
 
 
 def test_gen_is_deterministic(tmp_path):
@@ -46,19 +53,22 @@ def test_full_pl_pipeline_round_trip(tmp_path):
         assert run(["diagram", "--in", f, "--angle-deg", deg, "--out", tmp_path / f"d{deg}.json"]) == 0
     func = read_json(f)
     (x0, y0), (x1, y1) = func["vertices"][0], func["vertices"][-1]
-    rec = tmp_path / "rec.json"
-    assert run([
-        "reconstruct-pl",
-        "--in-t", tmp_path / "d90.json",
-        "--in-s", tmp_path / "d85.json",
-        "--in-r", tmp_path / "d80.json",
-        "--start", f"{x0},{y0}",
-        "--end", f"{x1},{y1}",
-        "--out", rec,
-    ]) == 0
-    assert run(["verify", "--points", rec, "--truth", tmp_path / "f.truth.json", "--tol", 1e-6, "--out", tmp_path / "rep.json"]) == 0
-    report = read_json(tmp_path / "rep.json")
-    assert report["ok"] and report["matched"] == 12
+    for algorithm in ("rolling", "naive"):
+        rec = tmp_path / f"rec-{algorithm}.json"
+        assert run([
+            "reconstruct-pl",
+            "--in-t", tmp_path / "d90.json",
+            "--in-s", tmp_path / "d85.json",
+            "--in-r", tmp_path / "d80.json",
+            "--start", f"{x0},{y0}",
+            "--end", f"{x1},{y1}",
+            "--algorithm", algorithm,
+            "--out", rec,
+        ]) == 0
+        rep = tmp_path / f"rep-{algorithm}.json"
+        assert run(["verify", "--points", rec, "--truth", tmp_path / "f.truth.json", "--tol", 1e-6, "--out", rep]) == 0
+        report = read_json(rep)
+        assert report["ok"] and report["matched"] == 12
 
 
 def test_verify_fails_on_wrong_truth(tmp_path):

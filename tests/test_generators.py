@@ -5,13 +5,10 @@ import pytest
 
 from persrec.generators import (
     GenerationExhausted,
-    GenFamily,
-    GenSpec,
     NaturalCubicSpline,
     gen_harmonic,
     gen_pl,
     gen_spline,
-    generate,
 )
 from persrec.geometry import Angle
 from persrec.persistence import CriticalKind, interior_critical_points, is_admissible, min_abs_slope
@@ -174,21 +171,3 @@ def test_gen_spline_is_deterministic():
     assert np.array_equal(f1.ys, f2.ys)
     assert t1 == t2
 
-
-# ---------------------------------------------------------------------------
-# spec front end
-
-def test_genspec_validation():
-    with pytest.raises(ValueError):
-        GenSpec(GenFamily.RANDOM_PL, n=0, seed=1)
-    with pytest.raises(ValueError):
-        GenSpec(GenFamily.RANDOM_PL, n=5, seed=1, domain=(2.0, 1.0))
-
-
-def test_generate_dispatch():
-    f, truth = generate(GenSpec(GenFamily.RANDOM_PL, n=4, seed=2))
-    assert len(truth) == 4
-    f2, _ = generate(GenSpec(GenFamily.SPLINE, n=8, seed=2))
-    assert len(f2.spline.xs) == 8
-    f3, truth3 = generate(GenSpec(GenFamily.HARMONIC, n=1, seed=1))
-    assert 20 <= len(truth3) <= 30

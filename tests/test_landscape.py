@@ -11,12 +11,10 @@ from persrec.landscape import (
     VertexClass,
     capped_points,
     classify_vertex,
-    get_x_values,
     get_y_values,
     landscapes,
     landscapes_from_pairs,
     reconstruct_from_landscapes,
-    tent,
 )
 from persrec.persistence import CriticalKind, PLFunction, directional_diagram
 
@@ -32,13 +30,7 @@ def fig_samples(n=401):
 
 
 # ---------------------------------------------------------------------------
-# tents and exact landscapes
-
-def test_tent_values():
-    assert tent(1.0, 5.0, 3.0) == 2.0
-    assert tent(1.0, 5.0, 0.0) == 0.0
-    assert tent(1.0, 5.0, 4.5) == 0.5
-
+# exact landscapes
 
 def test_landscapes_of_nested_pair():
     l1, l2, l3 = landscapes_from_pairs([(1.0, 5.0), (2.0, 4.0)], 3)
@@ -144,11 +136,17 @@ def test_crossing_diagram_decodes_to_value_set_with_duplicates():
 # ---------------------------------------------------------------------------
 # matching y-values back to sample positions
 
-def test_get_x_values_worked_example():
+def test_reconstruct_matches_decoded_values_worked_example():
+    # one tent decodes to its birth and death; deaths of 99 match no sample
     xs, ys = fig_samples()
-    assert get_x_values([4.0], ys, xs) == pytest.approx([0.5])
-    assert get_x_values([0.5], ys, xs) == pytest.approx([2.0])
-    assert get_x_values([99.0], ys, xs) == []
+
+    def decode(birth, death):
+        pts = reconstruct_from_landscapes(landscapes_from_pairs([(birth, death)], 1), ys, xs)
+        return [(p.x, p.y, p.kind) for p in pts]
+
+    assert decode(4.0, 99.0) == [(pytest.approx(0.5), pytest.approx(4.0), CriticalKind.LOCAL_MAX)]
+    assert decode(0.5, 99.0) == [(pytest.approx(2.0), pytest.approx(0.5), CriticalKind.LOCAL_MIN)]
+    assert decode(98.0, 99.0) == []
 
 
 def test_reconstruct_from_all_landscapes_recovers_interior_points():

@@ -14,11 +14,12 @@ from persrec.persistence import (
     critical_points,
     directional_diagram,
     extremal_indices,
+    extremal_points,
     is_admissible,
     min_abs_slope,
 )
 
-from oracles import brute_force_diagram, extrema_by_scan
+from oracles import brute_force_diagram, extrema_by_scan, kinds_by_scan
 
 VERTICAL = Angle(math.pi / 2)
 FIG_VERTICES = ([0.0, 0.5, 2.0, 4.0], [2.5, 4.0, 0.5, 2.5])
@@ -180,7 +181,10 @@ def test_extremal_indices(h, expected):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=30))
 def test_extremal_indices_match_scan_oracle(values):
-    assert extremal_indices(np.array(values, dtype=float)).tolist() == extrema_by_scan(values)
+    h = np.array(values, dtype=float)
+    assert extremal_indices(h).tolist() == extrema_by_scan(values)
+    got = extremal_points(np.arange(len(values)), h)
+    assert [(p.x, p.y, p.kind.value) for p in got] == [(i, values[i], k) for i, k in kinds_by_scan(values)]
 
 
 # ---------------------------------------------------------------------------

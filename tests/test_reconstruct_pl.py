@@ -77,8 +77,8 @@ def test_single_segment_yields_boundary_points_only():
 
 def test_empty_s_family_returns_boundaries():
     cfg = TripleConfig.default(Point2(0.0, 0.5), Point2(1.0, 0.25))
-    pts = rolling_ball_reconstruct([0.1, 0.2], [], [0.3], cfg)
-    assert_points_match(pts, [(0.0, 0.5), (1.0, 0.25)])
+    for algorithm in (naive_reconstruct, rolling_ball_reconstruct):
+        assert_points_match(algorithm([0.1, 0.2], [], [0.3], cfg), [(0.0, 0.5), (1.0, 0.25)])
 
 
 def test_out_of_window_coincidence_is_discarded():
