@@ -14,7 +14,6 @@ from .persistence import (
     directional_diagram,
     interior_critical_points,
     is_admissible,
-    min_abs_slope,
 )
 from .landscape import (
     DegenerateVertex,

@@ -5,7 +5,11 @@ the tent functions max{0, min{t - birth, death - t}} over the diagram points.
 Landscapes are computed exactly as piecewise-linear functions: every vertex
 of every level occurs either at a birth, at a death, or at a half-sum
 (birth_i + death_j)/2 where two tents cross, so evaluating the k-th order
-statistic on that candidate set and joining the dots is exact.
+statistic on that candidate set and joining the dots is exact. The tent
+values fill one array, a row per diagram point and a column per candidate,
+built and sorted down the columns in place. A level keeps the candidates of
+its row where one slope mask finds the slope changing, with its zero tails
+trimmed to one boundary zero a side.
 
 Decoding walks the vertices of a nonzero level left to right: a take-off
 vertex (zero, becoming positive) contributes its own t-coordinate; interior
@@ -14,8 +18,9 @@ previous value and are skipped. Every emitted value is a critical value
 (a birth or a finite death) of the source diagram.
 
 Decoded values are matched back to the sample extrema of
-`persistence.extremal_points`, so decoding shares the diagram sweep's one
-extremum rule and `critical_points`' one kind rule.
+`persistence.extremal_points`, all extrema against all values in one
+broadcast comparison, so decoding shares the diagram sweep's one extremum
+rule and `critical_points`' one kind rule.
 """
 
 from __future__ import annotations
@@ -94,24 +99,18 @@ def capped_points(d: Diagram, essential_cap: float | None = None) -> list[tuple[
 
 
 def _polyline_simplify(ts: np.ndarray, us: np.ndarray) -> tuple[tuple[float, float], ...]:
-    """Drop candidate points that are collinear with their neighbours, then trim
-    flat zero tails down to a single boundary zero on each side."""
-    keep = [0]
-    for j in range(1, len(ts) - 1):
-        s_in = (us[j] - us[keep[-1]]) / (ts[j] - ts[keep[-1]])
-        s_out = (us[j + 1] - us[j]) / (ts[j + 1] - ts[j])
-        if abs(s_in - s_out) > _SLOPE_TOL:
-            keep.append(j)
-    keep.append(len(ts) - 1)
-
-    verts = [(float(ts[j]), float(us[j])) for j in keep]
-    while len(verts) >= 2 and verts[0][1] == 0.0 and verts[1][1] == 0.0:
-        verts.pop(0)
-    while len(verts) >= 2 and verts[-1][1] == 0.0 and verts[-2][1] == 0.0:
-        verts.pop()
-    if all(u == 0.0 for _, u in verts):
+    """Keep the ends and every point where the slope changes, then trim flat
+    zero tails down to a single boundary zero on each side."""
+    slopes = np.diff(us) / np.diff(ts)
+    keep = np.ones(len(ts), dtype=bool)
+    keep[1:-1] = np.abs(slopes[:-1] - slopes[1:]) > _SLOPE_TOL
+    keep = np.flatnonzero(keep)
+    nonzero = np.flatnonzero(us[keep] != 0.0)
+    if len(nonzero) == 0:
         return ()
-    return tuple(verts)
+    keep = keep[max(nonzero[0] - 1, 0) : nonzero[-1] + 2]
+    # a list first, so the tuple is allocated at its exact size
+    return tuple(list(zip(ts[keep].tolist(), us[keep].tolist())))
 
 
 def landscapes(d: Diagram, max_k: int, essential_cap: float | None = None) -> list[Landscape]:
@@ -145,9 +144,14 @@ def landscapes_from_pairs(pairs: list[tuple[float, float]], max_k: int) -> list[
     order = np.lexsort((~np.isin(cands, ends), cluster))
     cands = cands[order][np.concatenate([[True], np.diff(cluster[order]) != 0])]
 
-    # tent values: one row per diagram point, one column per candidate
-    vals = np.maximum(0.0, np.minimum(cands[None, :] - betas[:, None], deltas[:, None] - cands[None, :]))
-    vals = -np.sort(-vals, axis=0)  # descending per column
+    # tent values, one row per diagram point and one column per candidate,
+    # sorted descending down each column, all in place
+    vals = np.subtract(cands[None, :], betas[:, None])
+    np.minimum(vals, np.subtract(deltas[:, None], cands[None, :]), out=vals)
+    np.maximum(0.0, vals, out=vals)
+    np.negative(vals, out=vals)
+    vals.sort(axis=0)
+    np.negative(vals, out=vals)
 
     out = []
     for k in range(1, max_k + 1):
@@ -220,4 +224,7 @@ def reconstruct_from_landscapes(selected: list[Landscape], samples, xs) -> list[
     (almost) one y-value are all retrieved.
     """
     y_values = np.array([y for l in selected if not l.is_zero for y in get_y_values(l)])
-    return [p for p in extremal_points(xs, samples) if np.any((y_values - p.y) ** 2 < MATCH_THRESHOLD)]
+    points = extremal_points(xs, samples)
+    ys = np.array([p.y for p in points])
+    hit = ((y_values[None, :] - ys[:, None]) ** 2 < MATCH_THRESHOLD).any(axis=1)
+    return [p for p, h in zip(points, hit) if h]

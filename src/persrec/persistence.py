@@ -159,11 +159,6 @@ def interior_critical_points(f: PLFunction) -> list[CriticalPoint]:
     return [c for c in critical_points(f) if c.kind is not CriticalKind.ENDPOINT]
 
 
-def min_abs_slope(f: PLFunction) -> float:
-    """Smallest |slope| over segments; strictly positive (no horizontal segments)."""
-    return float(np.min(np.abs(f.slopes())))
-
-
 def is_admissible(f: PLFunction, v: Angle) -> bool:
     """True when lines orthogonal to v never cross the graph transversally at
     an interior critical point.
@@ -206,11 +201,16 @@ def extremal_points(xs, ys) -> list[CriticalPoint]:
     """The points at `extremal_indices(ys)`, each with its kind: the two ends
     are ENDPOINT, an interior point is LOCAL_MAX when it rises from its left
     neighbour and LOCAL_MIN otherwise. Interior indices are run
-    representatives (first of a run), so the left neighbour always differs."""
+    representatives (first of a run), so the left neighbour always differs.
+    A flat final run is the right ENDPOINT at the last sample, as a flat
+    initial run is the left one at the first."""
     ys = np.asarray(ys, dtype=float)
     last = len(ys) - 1
+    idx = extremal_indices(ys)
+    if len(idx) > 1:
+        idx[-1] = last
     out = []
-    for i in extremal_indices(ys):
+    for i in idx:
         if i == 0 or i == last:
             kind = CriticalKind.ENDPOINT
         else:

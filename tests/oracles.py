@@ -49,16 +49,18 @@ def extrema_by_scan(h):
 
 def kinds_by_scan(h):
     """(index, kind) of each extremum of `extrema_by_scan`. The first and last
-    samples are endpoints; any other extremum is a max when the nearest
-    different value beside it is lower. A flat final run has no different
-    value to its right, so it goes by its left neighbour."""
+    runs are endpoints, the last one at the last sample; any other extremum is
+    a max when the nearest different value to its right is lower."""
+    found = extrema_by_scan(h)
     out = []
-    for i in extrema_by_scan(h):
-        if i == 0 or i == len(h) - 1:
+    for n, i in enumerate(found):
+        if n == 0:
             out.append((i, "endpoint"))
-            continue
-        beside = next((v for v in h[i + 1:] if v != h[i]), h[i - 1])
-        out.append((i, "max" if beside < h[i] else "min"))
+        elif n == len(found) - 1:
+            out.append((len(h) - 1, "endpoint"))
+        else:
+            right = next(v for v in h[i + 1:] if v != h[i])
+            out.append((i, "max" if right < h[i] else "min"))
     return out
 
 
@@ -123,3 +125,25 @@ def level_decode_oracle(landscape):
         tm, um = 0.5 * (t1 + t2), 0.5 * (u1 + u2)
         out.append(tm - um if slope > 0 else tm + um)
     return out
+
+
+def simplify_by_scan(ts, us):
+    """Vertices of one landscape row by a sequential scan: a point is kept when
+    the slope into it from the last kept point differs from the slope out of
+    it, then flat zero tails are trimmed to a single boundary zero."""
+    keep = [0]
+    for j in range(1, len(ts) - 1):
+        s_in = (us[j] - us[keep[-1]]) / (ts[j] - ts[keep[-1]])
+        s_out = (us[j + 1] - us[j]) / (ts[j + 1] - ts[j])
+        if abs(s_in - s_out) > 1e-9:
+            keep.append(j)
+    keep.append(len(ts) - 1)
+
+    verts = [(float(ts[j]), float(us[j])) for j in keep]
+    while len(verts) >= 2 and verts[0][1] == 0.0 and verts[1][1] == 0.0:
+        verts.pop(0)
+    while len(verts) >= 2 and verts[-1][1] == 0.0 and verts[-2][1] == 0.0:
+        verts.pop()
+    if all(u == 0.0 for _, u in verts):
+        return ()
+    return tuple(verts)

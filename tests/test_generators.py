@@ -11,7 +11,7 @@ from persrec.generators import (
     gen_spline,
 )
 from persrec.geometry import Angle
-from persrec.persistence import CriticalKind, interior_critical_points, is_admissible, min_abs_slope
+from persrec.persistence import CriticalKind, interior_critical_points, is_admissible
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +50,7 @@ def test_gen_pl_is_deterministic():
 def test_gen_pl_admissible_for_default_directions():
     for seed in range(5):
         f, _ = gen_pl(30, seed=seed)
-        assert min_abs_slope(f) > 1.0 / math.tan(math.radians(80.0))
+        assert np.min(np.abs(f.slopes())) > 1.0 / math.tan(math.radians(80.0))
         for deg in (90.0, 85.0, 80.0):
             assert is_admissible(f, Angle.from_degrees(deg))
 

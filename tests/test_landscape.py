@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from persrec.geometry import Angle
 from persrec.landscape import (
     DegenerateVertex,
+    _polyline_simplify,
     Landscape,
     VertexClass,
     capped_points,
@@ -18,7 +20,7 @@ from persrec.landscape import (
 )
 from persrec.persistence import CriticalKind, PLFunction, directional_diagram
 
-from oracles import grid_kmax, level_decode_oracle
+from oracles import grid_kmax, level_decode_oracle, simplify_by_scan
 
 VERTICAL = Angle(math.pi / 2)
 
@@ -48,6 +50,75 @@ def test_landscape_of_single_tent():
     l1, l2 = landscapes_from_pairs([(0.0, 2.0)], 2)
     assert l1.vertices == ((0.0, 0.0), (1.0, 1.0), (2.0, 0.0))
     assert l2.is_zero
+
+
+# rows as the tent matrix gives them: dyadic t steps, some only a few ulps
+# wide (a negative step is that many ulps), and slopes in {-1, 0, +1} held
+# over runs, clipped at zero so that zero tails and interior zeros occur
+row_steps = st.one_of(st.integers(1, 8).map(lambda k: k / 4.0), st.integers(-3, -1))
+
+
+@st.composite
+def landscape_rows(draw):
+    t = draw(st.integers(min_value=-40, max_value=40)) / 4.0
+    u = draw(st.sampled_from([0.0, 0.0, 0.25, 1.5]))
+    ts, us = [t], [u]
+    runs = st.tuples(st.sampled_from([-1.0, 0.0, 1.0]), st.lists(row_steps, min_size=1, max_size=4))
+    for slope, steps in draw(st.lists(runs, min_size=1, max_size=12)):
+        for step in steps:
+            if step > 0:
+                t += step
+            else:
+                for _ in range(-step):
+                    t = math.nextafter(t, math.inf)
+            u = max(0.0, u + slope * (t - ts[-1]))
+            ts.append(t)
+            us.append(u)
+    return np.array(ts), np.array(us)
+
+
+@settings(max_examples=200, deadline=None)
+@given(landscape_rows())
+def test_slope_mask_equals_sequential_scan(row):
+    ts, us = row
+    assert _polyline_simplify(ts, us) == simplify_by_scan(ts, us)
+
+
+@pytest.mark.parametrize(
+    "ts,us,expected",
+    [
+        ([0.0, 1.0, 2.0, 3.0], [0.0, 0.0, 0.0, 0.0], ()),
+        ([-1.0, 0.0, 0.5, 1.0, 2.0, 3.0], [0.0, 0.0, 0.5, 1.0, 0.0, 0.0], ((0.0, 0.0), (1.0, 1.0), (2.0, 0.0))),
+        (
+            [0.0, 1.0, 2.0, 3.0, 4.0],
+            [0.0, 1.0, 0.0, 1.0, 0.0],
+            ((0.0, 0.0), (1.0, 1.0), (2.0, 0.0), (3.0, 1.0), (4.0, 0.0)),
+        ),
+    ],
+    ids=["all-zero", "single-tent", "touching-tents"],
+)
+def test_slope_mask_fixed_rows(ts, us, expected):
+    ts, us = np.array(ts), np.array(us)
+    assert _polyline_simplify(ts, us) == expected
+    assert simplify_by_scan(ts, us) == expected
+
+
+def test_repeated_landscapes_leave_traced_memory_flat():
+    # a tuple built from an iterator starts at a guessed size and is resized,
+    # so once freed it joins another size's free list than the one it came
+    # from, and the free lists fill up: about 0.5 kB a call on this diagram
+    pairs = [(0.0, 4.0), (1.0, 3.5), (1.5, 6.0), (2.0, 2.5), (3.0, 7.0), (4.5, 5.5), (5.0, 9.0), (6.0, 8.0)]
+    for _ in range(50):
+        landscapes_from_pairs(pairs, len(pairs))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(200):
+            landscapes_from_pairs(pairs, len(pairs))
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 20_000
 
 
 def test_landscape_json_round_trip():
@@ -163,6 +234,16 @@ def test_reconstruct_from_all_landscapes_recovers_interior_points():
 def test_reconstruct_reports_first_sample_of_a_flat_extremum():
     xs = np.linspace(0.0, 6.0, 7)
     ys = np.array([0.5, 1.0, 3.0, 3.0, 3.0, 1.0, 0.0])
+    pts = reconstruct_from_landscapes(landscapes_from_pairs([(0.0, 3.0)], 1), ys, xs)
+    assert [(p.x, p.y, p.kind) for p in pts] == [
+        (2.0, 3.0, CriticalKind.LOCAL_MAX),
+        (6.0, 0.0, CriticalKind.ENDPOINT),
+    ]
+
+
+def test_reconstruct_reports_a_flat_final_run_as_the_right_endpoint():
+    xs = np.arange(7.0)
+    ys = np.array([0.5, 1.0, 3.0, 3.0, 1.0, 0.0, 0.0])
     pts = reconstruct_from_landscapes(landscapes_from_pairs([(0.0, 3.0)], 1), ys, xs)
     assert [(p.x, p.y, p.kind) for p in pts] == [
         (2.0, 3.0, CriticalKind.LOCAL_MAX),

@@ -16,7 +16,6 @@ from persrec.persistence import (
     extremal_indices,
     extremal_points,
     is_admissible,
-    min_abs_slope,
 )
 
 from oracles import brute_force_diagram, extrema_by_scan, kinds_by_scan
@@ -149,12 +148,6 @@ def test_diagram_json_round_trip_keeps_infinite_death():
 # ---------------------------------------------------------------------------
 # slopes and admissibility
 
-def test_min_abs_slope_examples():
-    assert min_abs_slope(PLFunction([0.0, 1.0], [0.0, 1.0])) == 1.0
-    assert min_abs_slope(fig_function()) == pytest.approx(1.0)
-    assert min_abs_slope(PLFunction([0.0, 1.0, 2.0], [0.0, 0.1, 1.0])) == pytest.approx(0.1)
-
-
 def test_admissibility_of_worked_example():
     f = fig_function()
     assert is_admissible(f, Angle.from_degrees(60.0))
@@ -241,7 +234,7 @@ def test_vertical_shift_moves_all_heights(f, c):
 @settings(max_examples=60, deadline=None)
 @given(pl_functions(), st.floats(min_value=0.05, max_value=math.pi / 2 - 0.05))
 def test_steep_enough_directions_are_admissible(f, theta):
-    if math.tan(theta) > 1.0 / min_abs_slope(f):
+    if math.tan(theta) > 1.0 / np.min(np.abs(f.slopes())):
         assert is_admissible(f, Angle(theta))
 
 
