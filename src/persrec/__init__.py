@@ -16,10 +16,7 @@ from .persistence import (
     is_admissible,
 )
 from .landscape import (
-    DegenerateVertex,
     Landscape,
-    VertexClass,
-    classify_vertex,
     get_y_values,
     landscapes,
     landscapes_from_pairs,

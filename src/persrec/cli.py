@@ -13,8 +13,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from .generators import gen_harmonic, gen_pl, gen_spline
 from .geometry import Angle, Point2
 from .landscape import Landscape, landscapes, reconstruct_from_landscapes
@@ -184,13 +182,9 @@ def cmd_reconstruct_smooth(args) -> int:
 def cmd_reconstruct_landscapes(args) -> int:
     ls = [Landscape.from_dict(d) for d in _read_json(args.in_landscapes)]
     f = _load_function(_read_json(args.in_function))
-    if isinstance(f, SampledFunction):
-        xs, ys = f.xs, f.ys
-    else:
-        a, b = f.domain
-        xs = np.linspace(a, b, max(2, int(round((b - a) * args.samples_per_unit)) + 1))
-        ys = f(xs)
-    points = reconstruct_from_landscapes(ls, ys, xs)
+    if not isinstance(f, SampledFunction):
+        f = SampledFunction.from_callable(f, f.domain, args.samples_per_unit)
+    points = reconstruct_from_landscapes(ls, f.ys, f.xs)
     _write_json(critical_points_to_dicts(points), args.out)
     if args.emit_plot_data:
         _write_plot_data(args.emit_plot_data, [[(p.x, p.y) for p in points]])

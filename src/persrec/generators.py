@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .persistence import CriticalKind, CriticalPoint, PLFunction, interior_critical_points
-from .reconstruct_smooth import SampledFunction
+from .reconstruct_smooth import SampledFunction, uniform_grid
 
 
 class GenerationExhausted(RuntimeError):
@@ -85,29 +85,34 @@ def gen_pl(n: int, seed: int, domain: tuple[float, float] = (0.0, 1.0)) -> tuple
 # ---------------------------------------------------------------------------
 # harmonic family
 
-class HarmonicFunction(SampledFunction):
-    """Sampled sum of sines that also knows its analytic derivatives."""
+class SineSum:
+    """Sum of terms a*sin(w*(x - offset) + p) with its analytic derivatives."""
 
-    __slots__ = ("amps", "omegas", "phases", "offset")
-
-    def __init__(self, xs, ys, amps, omegas, phases, offset):
-        super().__init__(xs, ys)
+    def __init__(self, amps, omegas, phases, offset):
         self.amps = amps
         self.omegas = omegas
         self.phases = phases
         self.offset = offset
 
     def value(self, x):
-        x = np.asarray(x, dtype=float)
-        return sum(a * np.sin(w * (x - self.offset) + p) for a, w, p in zip(self.amps, self.omegas, self.phases))
+        y = x - self.offset
+        return sum(a * np.sin(w * y + p) for a, w, p in zip(self.amps, self.omegas, self.phases))
 
     def derivative(self, x):
-        x = np.asarray(x, dtype=float)
-        return sum(a * w * np.cos(w * (x - self.offset) + p) for a, w, p in zip(self.amps, self.omegas, self.phases))
+        y = x - self.offset
+        return sum(a * w * np.cos(w * y + p) for a, w, p in zip(self.amps, self.omegas, self.phases))
 
     def second_derivative(self, x):
-        x = np.asarray(x, dtype=float)
-        return sum(-a * w * w * np.sin(w * (x - self.offset) + p) for a, w, p in zip(self.amps, self.omegas, self.phases))
+        y = x - self.offset
+        return sum(-a * w * w * np.sin(w * y + p) for a, w, p in zip(self.amps, self.omegas, self.phases))
+
+
+class HarmonicFunction(SampledFunction, SineSum):
+    """A sum of sines sampled on a grid by its own `value`."""
+
+    def __init__(self, xs, amps, omegas, phases, offset):
+        SineSum.__init__(self, amps, omegas, phases, offset)
+        SampledFunction.__init__(self, xs, self.value(xs))
 
 
 _MIN_CURVATURE = 10.0
@@ -148,17 +153,12 @@ def gen_harmonic(
         phases = rng.uniform(0.0, 2.0 * np.pi, 3)
         omegas = 2.0 * np.pi * np.array([k_dom, k2, k3]) / width
 
-        def fp(x):
-            return sum(A * w * np.cos(w * (x - a) + p) for A, w, p in zip(amps, omegas, phases))
-
-        def fpp(x):
-            return sum(-A * w * w * np.sin(w * (x - a) + p) for A, w, p in zip(amps, omegas, phases))
-
+        sines = SineSum(amps, omegas, phases, a)
         grid = np.linspace(a, b, int(200 * k_dom) + 1)
-        vals = fp(grid)
+        vals = sines.derivative(grid)
         roots = []
         for i in np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]:
-            roots.append(brentq(fp, grid[i], grid[i + 1], xtol=1e-15, rtol=8.9e-16))
+            roots.append(brentq(sines.derivative, grid[i], grid[i + 1], xtol=1e-15, rtol=8.9e-16))
 
         if not (lo <= len(roots) <= hi):
             continue
@@ -168,17 +168,13 @@ def gen_harmonic(
             continue
         if len(roots) > 1 and np.min(np.diff(roots)) < _MIN_GAP_FRAC * width:
             continue
-        curvatures = fpp(roots)
+        curvatures = sines.second_derivative(roots)
         if np.min(np.abs(curvatures)) < _MIN_CURVATURE:
             continue
 
-        def fn(x):
-            return sum(A * np.sin(w * (x - a) + p) for A, w, p in zip(amps, omegas, phases))
-
-        xs = np.linspace(a, b, max(2, int(round(width * samples_per_unit)) + 1))
-        func = HarmonicFunction(xs, fn(xs), amps, omegas, phases, a)
+        func = HarmonicFunction(uniform_grid((a, b), samples_per_unit), amps, omegas, phases, a)
         truth = [
-            CriticalPoint(float(x), float(fn(x)), CriticalKind.LOCAL_MAX if c < 0 else CriticalKind.LOCAL_MIN)
+            CriticalPoint(float(x), float(sines.value(x)), CriticalKind.LOCAL_MAX if c < 0 else CriticalKind.LOCAL_MIN)
             for x, c in zip(roots, curvatures)
         ]
         return func, truth
@@ -336,7 +332,7 @@ def gen_spline(
     knot_xs = np.linspace(a, b, knots)
     knot_ys = rng.uniform(0.0, 1.0, knots)
     spline = NaturalCubicSpline(knot_xs, knot_ys)
-    xs = np.linspace(a, b, max(2, int(round((b - a) * samples_per_unit)) + 1))
+    xs = uniform_grid((a, b), samples_per_unit)
     func = SplineFunction(xs, spline(xs), spline)
     return func, spline.critical_points()
 

@@ -11,11 +11,12 @@ built and sorted down the columns in place. A level keeps the candidates of
 its row where one slope mask finds the slope changing, with its zero tails
 trimmed to one boundary zero a side.
 
-Decoding walks the vertices of a nonzero level left to right: a take-off
-vertex (zero, becoming positive) contributes its own t-coordinate; interior
-maxima and minima contribute 2*(t - previous/2); landing vertices repeat the
-previous value and are skipped. Every emitted value is a critical value
-(a birth or a finite death) of the source diagram.
+Decoding reads each sloped piece of a nonzero level on its own. The level is
+the k-th largest tent, so a piece lies on exactly one tent: a rising piece
+starting at (t, u) has that tent's birth t - u, a falling one its death t + u.
+A run of pieces of one slope sign is one tent and gives one value, and flat
+zero stretches give none. Every emitted value is a critical value (a birth
+or a finite death) of the source diagram.
 
 Decoded values are matched back to the sample extrema of
 `persistence.extremal_points`, all extrema against all values in one
@@ -25,7 +26,6 @@ rule and `critical_points`' one kind rule.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,17 +37,6 @@ from .persistence import CriticalPoint, Diagram, extremal_points
 MATCH_THRESHOLD = 1e-4
 
 _SLOPE_TOL = 1e-9
-
-
-class DegenerateVertex(ValueError):
-    """Raised for a malformed landscape vertex (e.g. an isolated zero)."""
-
-
-class VertexClass(enum.Enum):
-    TAKE_OFF = "take_off"
-    LANDING = "landing"
-    LOCAL_MAX = "local_max"
-    LOCAL_MIN = "local_min"
 
 
 @dataclass(frozen=True)
@@ -162,56 +151,19 @@ def landscapes_from_pairs(pairs: list[tuple[float, float]], max_k: int) -> list[
     return out
 
 
-def classify_vertex(l: Landscape, index: int) -> VertexClass:
-    """Classify a landscape vertex.
-
-    Zero-height vertices are take-off points when the landscape is zero on the
-    left and positive immediately to the right, landing points in the mirror
-    case, and interior minima when positive on both sides (the landscape
-    touches zero). Positive vertices are classified by the slope change.
-    """
-    verts = l.vertices
-    if not verts:
-        raise ValueError("cannot classify vertices of the zero landscape")
-    if not (0 <= index < len(verts)):
-        raise IndexError(index)
-    t, u = verts[index]
-    if u == 0.0:
-        left_pos = index > 0 and verts[index - 1][1] > 0.0
-        right_pos = index < len(verts) - 1 and verts[index + 1][1] > 0.0
-        if not left_pos and right_pos:
-            return VertexClass.TAKE_OFF
-        if left_pos and not right_pos:
-            return VertexClass.LANDING
-        if left_pos and right_pos:
-            return VertexClass.LOCAL_MIN
-        raise DegenerateVertex(f"isolated zero vertex at t={t}")
-    s_in = (u - verts[index - 1][1]) / (t - verts[index - 1][0])
-    s_out = (verts[index + 1][1] - u) / (verts[index + 1][0] - t)
-    if s_in > s_out:
-        return VertexClass.LOCAL_MAX
-    if s_in < s_out:
-        return VertexClass.LOCAL_MIN
-    raise DegenerateVertex(f"vertex at t={t} has no slope change")
-
-
 def get_y_values(l: Landscape) -> list[float]:
-    """Critical values of the source function encoded by one landscape level.
-
-    Take-off vertices contribute their own t; maxima and minima contribute
-    2*(t - previous/2); landing vertices only repeat the previous value and
-    are omitted.
-    """
+    """Critical values of the source function encoded by one landscape level:
+    the birth t - u of each rising run of pieces and the death t + u of each
+    falling run, read at the run's first vertex (t, u)."""
     if l.is_zero:
         raise ValueError("the zero landscape encodes no critical values")
     ys: list[float] = []
-    for i in range(len(l.vertices)):
-        cls = classify_vertex(l, i)
-        t = l.vertices[i][0]
-        if cls is VertexClass.TAKE_OFF:
-            ys.append(t)
-        elif cls in (VertexClass.LOCAL_MAX, VertexClass.LOCAL_MIN):
-            ys.append(2.0 * (t - 0.5 * ys[-1]))
+    run = 0
+    for (t, u), (_, u_next) in zip(l.vertices, l.vertices[1:]):
+        sign = (u_next > u) - (u_next < u)
+        if sign and sign != run:
+            ys.append(t - u if sign > 0 else t + u)
+        run = sign
     return ys
 
 

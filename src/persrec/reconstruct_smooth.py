@@ -60,6 +60,13 @@ class SmoothConfig:
         return math.tan(math.radians(self.shallow_deg))
 
 
+def uniform_grid(domain: tuple[float, float], samples_per_unit: float) -> np.ndarray:
+    """Uniform grid over domain with about samples_per_unit steps per unit
+    length, and at least its two ends."""
+    a, b = domain
+    return np.linspace(a, b, max(2, int(round((b - a) * samples_per_unit)) + 1))
+
+
 class SampledFunction:
     """A function known only through values on a uniform x-grid."""
 
@@ -80,9 +87,7 @@ class SampledFunction:
 
     @classmethod
     def from_callable(cls, fn, domain: tuple[float, float], samples_per_unit: float = 10_000.0) -> "SampledFunction":
-        a, b = domain
-        n = max(2, int(round((b - a) * samples_per_unit)) + 1)
-        xs = np.linspace(a, b, n)
+        xs = uniform_grid(domain, samples_per_unit)
         return cls(xs, fn(xs))
 
     @property

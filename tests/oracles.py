@@ -114,7 +114,9 @@ def level_decode_oracle(landscape):
 
     On an ascending segment the level equals t - birth of the attaining tent,
     on a descending one death - t; reading the segment midpoint recovers that
-    birth or death without touching the vertex-classification code.
+    birth or death. `get_y_values` reads each run of one slope sign at its
+    first vertex instead, once per run; on a level whose runs are single
+    segments the two give the same values.
     """
     out = []
     verts = landscape.vertices

@@ -3,22 +3,21 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from persrec.generators import gen_spline
 from persrec.geometry import Angle
 from persrec.landscape import (
-    DegenerateVertex,
     _polyline_simplify,
     Landscape,
-    VertexClass,
     capped_points,
-    classify_vertex,
     get_y_values,
     landscapes,
     landscapes_from_pairs,
     reconstruct_from_landscapes,
 )
 from persrec.persistence import CriticalKind, PLFunction, directional_diagram
+from persrec.reconstruct_smooth import pl_proxy
 
 from oracles import grid_kmax, level_decode_oracle, simplify_by_scan
 
@@ -141,39 +140,44 @@ def test_monotone_function_has_zero_landscapes():
 
 
 # ---------------------------------------------------------------------------
-# vertex classification and decoding
+# decoding
 
 def test_classify_single_tent_vertices():
+    # the take-off vertex starts the rising run and gives the birth t - u; the
+    # peak starts the falling run and gives the death t + u; landing gives none
     (l1,) = landscapes_from_pairs([(1.0, 5.0)], 1)
-    assert classify_vertex(l1, 0) is VertexClass.TAKE_OFF
-    assert classify_vertex(l1, 1) is VertexClass.LOCAL_MAX
-    assert classify_vertex(l1, 2) is VertexClass.LANDING
+    (t0, u0), (t1, u1), _ = l1.vertices
+    assert get_y_values(l1) == [t0 - u0, t1 + u1]
 
 
 def test_classify_crossing_interior_minimum():
+    # the interior minimum ends the first tent's falling run and starts the
+    # second tent's rising one, whose birth t - u it gives
     (l1,) = landscapes_from_pairs([(0.0, 6.0), (3.0, 10.0)], 1)
-    assert classify_vertex(l1, 2) is VertexClass.LOCAL_MIN
-
-
-def test_classify_touching_zero_is_minimum():
-    (l1,) = landscapes_from_pairs([(0.0, 2.0), (2.0, 4.0)], 1)
-    assert l1.vertices == ((0.0, 0.0), (1.0, 1.0), (2.0, 0.0), (3.0, 1.0), (4.0, 0.0))
-    assert classify_vertex(l1, 2) is VertexClass.LOCAL_MIN
-
-
-def test_classify_isolated_zero_raises():
-    with pytest.raises(DegenerateVertex):
-        classify_vertex(Landscape(1, ((0.0, 0.0), (1.0, 0.0), (2.0, 1.0), (3.0, 0.0))), 0)
+    t, u = l1.vertices[2]
+    assert l1.vertices[1][1] > u < l1.vertices[3][1]
+    assert get_y_values(l1)[2] == t - u == 3.0
 
 
 def test_get_y_values_single_tent():
     (l1,) = landscapes_from_pairs([(1.0, 5.0)], 1)
-    assert get_y_values(l1) == pytest.approx([1.0, 5.0])
+    assert get_y_values(l1) == [1.0, 5.0]
 
 
 def test_get_y_values_crossing():
     (l1,) = landscapes_from_pairs([(0.0, 6.0), (3.0, 10.0)], 1)
-    assert get_y_values(l1) == pytest.approx([0.0, 6.0, 3.0, 10.0])
+    assert get_y_values(l1) == [0.0, 6.0, 3.0, 10.0]
+
+
+def test_get_y_values_touching_zero_minimum():
+    (l1,) = landscapes_from_pairs([(0.0, 2.0), (2.0, 4.0)], 1)
+    assert l1.vertices == ((0.0, 0.0), (1.0, 1.0), (2.0, 0.0), (3.0, 1.0), (4.0, 0.0))
+    assert get_y_values(l1) == [0.0, 2.0, 2.0, 4.0]
+
+
+def test_get_y_values_untrimmed_zero_tail_like_the_trimmed_level():
+    untrimmed = Landscape(1, ((0.0, 0.0), (1.0, 0.0), (2.0, 1.0), (3.0, 0.0)))
+    assert get_y_values(untrimmed) == get_y_values(Landscape(1, untrimmed.vertices[1:])) == [1.0, 3.0]
 
 
 def test_get_y_values_level_two_tent():
@@ -191,7 +195,6 @@ def test_death_wins_over_a_half_sum_rounded_onto_it():
     # dedupe tolerance of the death 2.7; the death must stay the vertex
     l2 = landscapes_from_pairs([(0.0, 4.93), (0.47, 2.7)], 2)[1]
     assert l2.vertices[-1] == (2.7, 0.0)
-    assert classify_vertex(l2, len(l2.vertices) - 1) is VertexClass.LANDING
     assert get_y_values(l2) == [0.47, 2.7]
 
 
@@ -256,6 +259,18 @@ def test_reconstruct_from_no_landscapes_is_empty():
     assert reconstruct_from_landscapes([], ys, xs) == []
 
 
+@pytest.mark.parametrize("seed,knots", [(1991, 57), (62163, 64)])
+def test_reconstruct_from_all_landscapes_finds_every_spline_point(seed, knots):
+    # these keep a vertex a rounding apart from its neighbour on one sloped
+    # piece, which must not start a new value of its level
+    f, truth = gen_spline(seed, knots=knots, samples_per_unit=2000.0)
+    d = directional_diagram(pl_proxy(f), VERTICAL)
+    pts = reconstruct_from_landscapes(landscapes(d, len(d.points)), f.ys, f.xs)
+    interior = [p for p in pts if p.kind is not CriticalKind.ENDPOINT]
+    for c in truth:
+        assert any(p.kind is c.kind and abs(p.x - c.x) <= f.step for p in interior), c
+
+
 def test_reconstruct_from_first_landscape_only():
     f = PLFunction([0.0, 0.5, 2.0, 4.0], [2.5, 4.0, 0.5, 2.5])
     xs, ys = fig_samples()
@@ -313,3 +328,23 @@ def test_decoded_values_match_attaining_tent_oracle(pairs):
         assert got == pytest.approx(expected, abs=1e-9)
         for v in got:
             assert min(abs(v - h) for h in heights) < 1e-9
+
+
+@settings(max_examples=100, deadline=None)
+@given(finite_pairs)
+@example([(0.0, 6.0), (3.0, 10.0)])
+def test_splitting_a_sloped_piece_leaves_the_decoded_values_unchanged(pairs):
+    # the inserted vertex is an ulp off the piece, so its slopes in and out
+    # differ by rounding only; it must not read as a new tent
+    for lk in landscapes_from_pairs(pairs, len(pairs)):
+        if lk.is_zero:
+            continue
+        expected = get_y_values(lk)
+        verts = lk.vertices
+        for i, ((t1, u1), (t2, u2)) in enumerate(zip(verts, verts[1:])):
+            if u1 == u2:
+                continue
+            for towards in (-math.inf, math.inf):
+                mid = (0.5 * (t1 + t2), math.nextafter(0.5 * (u1 + u2), towards))
+                split = Landscape(lk.level, verts[: i + 1] + (mid,) + verts[i + 1 :])
+                assert get_y_values(split) == expected
