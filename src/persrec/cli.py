@@ -52,16 +52,11 @@ def _write_plot_data(path: str, blocks: list[list[tuple[float, float]]]) -> None
                 fh.write(f"{x!r} {y!r}\n")
 
 
-def _parse_point(text: str) -> Point2:
+def _parse_pair(text: str) -> tuple[float, float]:
     try:
-        x, y = (float(v) for v in text.split(","))
+        a, b = (float(v) for v in text.split(","))
     except ValueError as exc:
-        raise ValueError(f"expected 'x,y', got {text!r}") from exc
-    return Point2(x, y)
-
-
-def _parse_domain(text: str) -> tuple[float, float]:
-    a, b = (float(v) for v in text.split(","))
+        raise argparse.ArgumentTypeError(f"expected 'a,b', got {text!r}") from exc
     return a, b
 
 
@@ -82,13 +77,12 @@ def _load_function(data: dict):
 # subcommands
 
 def cmd_gen(args) -> int:
-    domain = _parse_domain(args.domain)
     if args.family == "pl":
-        f, truth = gen_pl(args.n, args.seed, domain)
+        f, truth = gen_pl(args.n, args.seed, args.domain)
     elif args.family == "harmonic":
-        f, truth = gen_harmonic(args.seed, domain, samples_per_unit=args.samples_per_unit)
+        f, truth = gen_harmonic(args.seed, args.domain, samples_per_unit=args.samples_per_unit)
     else:
-        f, truth = gen_spline(args.seed, domain, knots=args.knots, samples_per_unit=args.samples_per_unit)
+        f, truth = gen_spline(args.seed, args.domain, knots=args.knots, samples_per_unit=args.samples_per_unit)
     func_dict = f.to_dict()
     pairs = list(zip(f.xs.tolist(), f.ys.tolist()))
 
@@ -146,8 +140,8 @@ def cmd_reconstruct_pl(args) -> int:
         d_t.direction,
         d_s.direction,
         d_r.direction,
-        _parse_point(args.start),
-        _parse_point(args.end),
+        Point2(*args.start),
+        Point2(*args.end),
         args.match_tol,
     )
     algorithm = naive_reconstruct if args.algorithm == "naive" else rolling_ball_reconstruct
@@ -243,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     for family in ("pl", "harmonic", "spline"):
         g = gsub.add_parser(family)
         g.add_argument("--seed", type=int, required=True)
-        g.add_argument("--domain", default="0,1", help="a,b (default 0,1)")
+        g.add_argument("--domain", type=_parse_pair, default="0,1", help="a,b (default 0,1)")
         g.add_argument("--out", help="function JSON path; truth goes to <out>.truth.json")
         g.add_argument("--emit-plot-data", metavar="PATH", help="write plain x,y columns")
         if family == "pl":
@@ -273,8 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     rp.add_argument("--in-t", required=True, help="diagram for the steepest direction (e.g. 90 deg)")
     rp.add_argument("--in-s", required=True, help="diagram for the middle direction (e.g. 85 deg)")
     rp.add_argument("--in-r", required=True, help="diagram for the shallowest direction (e.g. 80 deg)")
-    rp.add_argument("--start", required=True, help="x,y of the left boundary point")
-    rp.add_argument("--end", required=True, help="x,y of the right boundary point")
+    rp.add_argument("--start", type=_parse_pair, required=True, help="x,y of the left boundary point")
+    rp.add_argument("--end", type=_parse_pair, required=True, help="x,y of the right boundary point")
     rp.add_argument("--algorithm", choices=("rolling", "naive"), default="rolling")
     rp.add_argument("--match-tol", type=float, default=TripleConfig.match_tol)
     rp.add_argument("--strict", action="store_true")

@@ -2,14 +2,18 @@
 
 The level-k landscape of a diagram is the k-th largest value, pointwise, of
 the tent functions max{0, min{t - birth, death - t}} over the diagram points.
-Landscapes are computed exactly as piecewise-linear functions: every vertex
-of every level occurs either at a birth, at a death, or at a half-sum
-(birth_i + death_j)/2 where two tents cross, so evaluating the k-th order
-statistic on that candidate set and joining the dots is exact. The tent
-values fill one array, a row per diagram point and a column per candidate,
-built and sorted down the columns in place. A level keeps the candidates of
-its row where one slope mask finds the slope changing, with its zero tails
-trimmed to one boundary zero a side.
+Landscapes are computed exactly as piecewise-linear functions by the sweep of
+Bubenik & Dlotko ("A persistence landscapes toolbox for topological
+statistics", J. Symb. Comput. 2017). With the pairs sorted by birth, deaths
+descending on equal births, a level follows the tent with the largest death
+so far and emits only the vertices it has: a birth (b, 0), a peak
+((b + d)/2, (d - b)/2), the crossing ((b' + d)/2, (d - b')/2) where a later
+tent (b', d') with d' > d rises out of the current one, and the zeros at d
+and b' where the next tent starts at or after d. The part of the crossed
+tent under the new one, the pair (b', d), and every tent inside the current
+one go down to the next level. Every vertex comes from the pairs' own
+values, never from comparing candidates, so no tolerance is involved and
+the cost grows with the output.
 
 Decoding reads each sloped piece of a nonzero level on its own. The level is
 the k-th largest tent, so a piece lies on exactly one tent: a rising piece
@@ -36,8 +40,6 @@ from .persistence import CriticalPoint, Diagram, extremal_points
 # critical values back to sample indices.
 MATCH_THRESHOLD = 1e-4
 
-_SLOPE_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class Landscape:
@@ -45,6 +47,8 @@ class Landscape:
 
     An empty vertex tuple denotes the zero function. Nonzero landscapes have
     u >= 0 everywhere, u = 0 at both ends, and segment slopes in {-1, 0, +1}.
+    Every vertex is a birth, a peak, a crossing of two tents or a zero between
+    two of them, so no two consecutive pieces share a slope.
     """
 
     level: int
@@ -87,21 +91,6 @@ def capped_points(d: Diagram, essential_cap: float | None = None) -> list[tuple[
     return pts
 
 
-def _polyline_simplify(ts: np.ndarray, us: np.ndarray) -> tuple[tuple[float, float], ...]:
-    """Keep the ends and every point where the slope changes, then trim flat
-    zero tails down to a single boundary zero on each side."""
-    slopes = np.diff(us) / np.diff(ts)
-    keep = np.ones(len(ts), dtype=bool)
-    keep[1:-1] = np.abs(slopes[:-1] - slopes[1:]) > _SLOPE_TOL
-    keep = np.flatnonzero(keep)
-    nonzero = np.flatnonzero(us[keep] != 0.0)
-    if len(nonzero) == 0:
-        return ()
-    keep = keep[max(nonzero[0] - 1, 0) : nonzero[-1] + 2]
-    # a list first, so the tuple is allocated at its exact size
-    return tuple(list(zip(ts[keep].tolist(), us[keep].tolist())))
-
-
 def landscapes(d: Diagram, max_k: int, essential_cap: float | None = None) -> list[Landscape]:
     """Exact piecewise-linear landscapes lambda_1 .. lambda_max_k of a diagram.
 
@@ -115,39 +104,35 @@ def landscapes_from_pairs(pairs: list[tuple[float, float]], max_k: int) -> list[
     """Exact landscapes of a plain finite (birth, death) multiset."""
     if max_k < 1:
         raise ValueError("max_k must be positive")
-    pts = [(b, dd) for b, dd in pairs]
+    pts = [(float(b), float(dd)) for b, dd in pairs]
     if any(not (b < dd) for b, dd in pts):
         raise ValueError("every pair needs birth < death")
-    if not pts:
-        return [Landscape(k, ()) for k in range(1, max_k + 1)]
 
-    betas = np.array([b for b, _ in pts])
-    deltas = np.array([dd for _, dd in pts])
-    ends = np.concatenate([betas, deltas])
-    cands = np.unique(np.concatenate([ends, ((betas[:, None] + deltas[None, :]) / 2.0).ravel()]))
-    # half-sums can land a few ulps apart, or a few ulps off a birth or death;
-    # such micro-gaps are rounding artifacts, never genuine landscape vertices.
-    # Each cluster keeps its smallest birth or death, else its smallest half-sum.
-    tol = 1e-12 * max(1.0, float(np.max(np.abs(cands))))
-    cluster = np.cumsum(np.concatenate([[False], np.diff(cands) > tol]))
-    order = np.lexsort((~np.isin(cands, ends), cluster))
-    cands = cands[order][np.concatenate([[True], np.diff(cluster[order]) != 0])]
-
-    # tent values, one row per diagram point and one column per candidate,
-    # sorted descending down each column, all in place
-    vals = np.subtract(cands[None, :], betas[:, None])
-    np.minimum(vals, np.subtract(deltas[:, None], cands[None, :]), out=vals)
-    np.maximum(0.0, vals, out=vals)
-    np.negative(vals, out=vals)
-    vals.sort(axis=0)
-    np.negative(vals, out=vals)
-
-    out = []
+    out, below = [], pts
     for k in range(1, max_k + 1):
-        if k <= len(pts):
-            out.append(Landscape(k, _polyline_simplify(cands, vals[k - 1])))
-        else:
+        # births ascending, deaths descending on equal births
+        rest = sorted(below, key=lambda p: (p[0], -p[1]))
+        if not rest:
             out.append(Landscape(k, ()))
+            continue
+        (b, d), below = rest[0], []
+        verts = [(b, 0.0), ((b + d) / 2, (d - b) / 2)]
+        for nb, nd in rest[1:]:
+            if nd <= d:
+                below.append((nb, nd))
+                continue
+            if nb < d:
+                verts.append(((nb + d) / 2, (d - nb) / 2))
+                below.append((nb, d))
+            else:
+                verts.append((d, 0.0))
+                if nb > d:
+                    verts.append((nb, 0.0))
+            b, d = nb, nd
+            verts.append(((b + d) / 2, (d - b) / 2))
+        verts.append((d, 0.0))
+        # a list first, so the tuple is allocated at its exact size
+        out.append(Landscape(k, tuple(verts)))
     return out
 
 

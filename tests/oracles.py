@@ -128,24 +128,3 @@ def level_decode_oracle(landscape):
         out.append(tm - um if slope > 0 else tm + um)
     return out
 
-
-def simplify_by_scan(ts, us):
-    """Vertices of one landscape row by a sequential scan: a point is kept when
-    the slope into it from the last kept point differs from the slope out of
-    it, then flat zero tails are trimmed to a single boundary zero."""
-    keep = [0]
-    for j in range(1, len(ts) - 1):
-        s_in = (us[j] - us[keep[-1]]) / (ts[j] - ts[keep[-1]])
-        s_out = (us[j + 1] - us[j]) / (ts[j + 1] - ts[j])
-        if abs(s_in - s_out) > 1e-9:
-            keep.append(j)
-    keep.append(len(ts) - 1)
-
-    verts = [(float(ts[j]), float(us[j])) for j in keep]
-    while len(verts) >= 2 and verts[0][1] == 0.0 and verts[1][1] == 0.0:
-        verts.pop(0)
-    while len(verts) >= 2 and verts[-1][1] == 0.0 and verts[-2][1] == 0.0:
-        verts.pop()
-    if all(u == 0.0 for _, u in verts):
-        return ()
-    return tuple(verts)

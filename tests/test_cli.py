@@ -157,5 +157,23 @@ def test_unknown_subcommand_exits_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "pl", "--seed", 1, "--n", 3, "--domain", "abc"],
+        ["gen", "spline", "--seed", 1, "--domain", "0,1,2"],
+        ["reconstruct-pl", "--in-t", "t", "--in-s", "s", "--in-r", "r", "--start", "0", "--end", "1,0"],
+        ["reconstruct-pl", "--in-t", "t", "--in-s", "s", "--in-r", "r", "--start", "0,0", "--end", "1;0"],
+    ],
+    ids=["domain-not-numbers", "domain-three-values", "start-one-value", "end-wrong-separator"],
+)
+def test_malformed_pair_exits_2_with_usage(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "expected 'a,b'" in err
+
+
 def test_missing_file_is_domain_error(tmp_path):
     assert run(["diagram", "--in", tmp_path / "nope.json", "--angle-deg", 90]) == 1
