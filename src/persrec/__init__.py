@@ -34,14 +34,7 @@ from .reconstruct_smooth import (
     SampledFunction,
     SmoothConfig,
     SmoothReconstruction,
-    Triangle,
-    alternation_check,
-    compute_x,
-    detect_triangles,
-    filter_and_locate,
     five_line_reconstruct,
-    refine_estimates,
-    tangent_heights,
 )
 from .generators import (
     GenerationExhausted,

@@ -4,13 +4,15 @@ reconstructions into file-based pipelines.
 Angles are degrees everywhere on the CLI and in files. Every randomized
 command requires --seed, so identical invocations produce identical files.
 Exit codes: 0 success, 1 domain errors (e.g. a non-admissible direction under
---strict), 2 argument errors.
+--strict) and, silently, a standard output closed by its reader, 2 argument
+errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .generators import gen_harmonic, gen_pl, gen_spline
@@ -306,7 +308,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader stopped reading (e.g. `| head`): nothing to report, and
+        # the interpreter's final flush must not meet the closed pipe again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, RuntimeError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

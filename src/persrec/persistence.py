@@ -3,10 +3,11 @@
 The graph of a PL function f: [a, b] -> R, filtered by the projection
 h(x, y) = x*cos(theta) + y*sin(theta) in a direction e^{i*theta}, changes its
 number of connected components only at the projections of finitely many
-vertices. The diagram of that filtration is computed by a sorted sweep with
-union-find over the path graph: a vertex enters at its own projection, an edge
-at the larger projection of its endpoints, and on every merge the component
-with the larger birth dies (elder rule).
+vertices. After `extremal_indices` the path is an alternating run of minima
+and maxima, and its diagram is the elder-rule pairing of that run. One
+left-to-right stack pass computes it in linear time: each interior maximum
+kills the younger of the two components it joins (Glisse, "Fast persistent
+homology computation for functions on R", 2023).
 
 Critical lines are read off the diagram: every birth and every finite death
 is the height of one critical line orthogonal to the direction.
@@ -222,51 +223,40 @@ def extremal_points(xs, ys) -> list[CriticalPoint]:
 def directional_diagram(f: PLFunction, v: Angle) -> Diagram:
     """H0 persistence diagram of the graph's sublevel filtration in direction v.
 
-    Sweep: vertices enter at their projection, edges at the max of their
-    endpoint projections (lower-star convention); ties are broken by
-    increasing x, vertices before edges. Union-find tracks the birth of each
-    component; merges kill the younger component. Zero-length pairs
-    (birth == death) are discarded.
+    One left-to-right pass over the extremal heights. `pending` holds the
+    interior maxima not yet paired, each with the lowest height to its left
+    back to the previous higher one; `low` is the lowest height since the
+    last of them. A maximum pops every pending one no higher than itself:
+    the two sides of a popped maximum merge at its height, and the side with
+    the higher minimum dies there. Any order of equal heights gives the same
+    multiset of pairs. An endpoint maximum enters with its only edge and
+    makes no pair. At the end the rest is popped the same way, and `low` is
+    the essential birth.
     """
-    h_full = projections(f, v)
-    sub = extremal_indices(h_full)
-    h = h_full[sub]
-    m = len(h)
-
-    if m == 1:
-        return Diagram(v, (PersistencePoint(float(h[0]), None),))
-
-    # events: (value, dim, position); dim 0 = vertex i, dim 1 = edge (i, i+1)
-    events = [(h[i], 0, i) for i in range(m)]
-    events += [(max(h[i], h[i + 1]), 1, i) for i in range(m - 1)]
-    events.sort()
-
-    parent = list(range(m))
-    birth = [0.0] * m
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    h = projections(f, v)
+    h = h[extremal_indices(h)].tolist()
+    last = len(h) - 1
     pts: list[PersistencePoint] = []
-    for value, dim, i in events:
-        if dim == 0:
-            birth[i] = value
-        else:
-            ra, rb = find(i), find(i + 1)
-            ba, bb = birth[ra], birth[rb]
-            # elder rule: keep the smaller birth (smaller index on exact tie)
-            if (ba, ra) <= (bb, rb):
-                elder, younger = ra, rb
-            else:
-                elder, younger = rb, ra
-            if birth[younger] < value:
-                pts.append(PersistencePoint(float(birth[younger]), float(value)))
-            parent[younger] = elder
+    pending: list[tuple[float, float]] = []  # (max height, lowest height to its left)
+    low = math.inf
 
-    pts.append(PersistencePoint(float(min(birth)), None))
+    def pop_up_to(height: float) -> None:
+        nonlocal low
+        while pending and pending[-1][0] <= height:
+            top, left = pending.pop()
+            pts.append(PersistencePoint(max(left, low), top))
+            low = min(left, low)
+
+    for i, y in enumerate(h):
+        if 0 < i < last and y > h[i - 1]:
+            pop_up_to(y)
+            pending.append((y, low))
+            low = math.inf
+        else:
+            low = min(low, y)
+    pop_up_to(math.inf)
+
+    pts.append(PersistencePoint(low, None))
     pts.sort(key=lambda p: (p.birth, math.inf if p.death is None else p.death))
     return Diagram(v, tuple(pts))
 

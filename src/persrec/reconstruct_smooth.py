@@ -265,49 +265,3 @@ def five_line_reconstruct(f: SampledFunction, cfg: SmoothConfig | None = None) -
     ok = alternation_check(points)
     warnings = [] if ok else ["local minima and maxima do not alternate; suspect false or missed detections"]
     return SmoothReconstruction(points, ok, warnings)
-
-
-def refine_estimates(
-    f: SampledFunction,
-    y0: float | None = None,
-    start_deg: float = 2.0,
-    rounds: int = 20,
-    x_hint: float | None = None,
-) -> list[float]:
-    """Opt-in iterative location of a single critical point at height y0.
-
-    Round k picks the tangent pair with slopes +-tan(start_deg / 2**k) whose
-    crossings with y = y0 are nearest the running estimate, then combines two
-    consecutive pairs (the earlier as the steep pair, the later as the shallow
-    one) through the closed-form estimator. Halving the slope each round makes
-    the estimates converge to the critical abscissa.
-    """
-    if y0 is None:
-        hs = tangent_heights(f, 0.0)
-        if len(hs) != 1:
-            raise ValueError(f"need a unique horizontal tangent height, found {len(hs)}; pass y0")
-        y0 = hs[0]
-
-    pairs: list[tuple[float, float, float]] = []
-    estimates: list[float] = []
-    hint = x_hint
-    for k in range(rounds + 1):
-        m = math.tan(math.radians(start_deg / 2.0**k))
-        minus = [_cross_at(y0, -m, h) for h in tangent_heights(f, -m)]
-        plus = [_cross_at(y0, m, h) for h in tangent_heights(f, m)]
-        if hint is None:
-            hint = 0.5 * (min(minus) + max(plus))
-        xm = min(minus, key=lambda x: abs(x - hint))
-        xp = min(plus, key=lambda x: abs(x - hint))
-        pairs.append((m, min(xm, xp), max(xm, xp)))
-        if k >= 1:
-            (m_a, a1, a2), (m_b, b1, b2) = pairs[k - 1], pairs[k]
-            try:
-                est = compute_x(a1, a2, b1, b2, m_a, m_b)
-            except DegenerateEstimator:
-                # the crossings have collapsed onto one grid sample: further
-                # halving cannot improve on the sampling resolution
-                break
-            estimates.append(est)
-            hint = est
-    return estimates

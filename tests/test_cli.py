@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import persrec
 from persrec.cli import main
 
 
@@ -173,6 +178,23 @@ def test_malformed_pair_exits_2_with_usage(argv, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage:") and "expected 'a,b'" in err
+
+
+def test_closed_stdout_exits_quietly():
+    # the output (about 0.5 MB) outgrows the pipe buffer, so the write meets
+    # the closed pipe inside the command, not only at the final flush
+    env = dict(os.environ, PYTHONPATH=str(Path(persrec.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "persrec.cli", "gen", "harmonic", "--seed", "1", "--domain", "0,2"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
 
 
 def test_missing_file_is_domain_error(tmp_path):

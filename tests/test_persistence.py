@@ -203,11 +203,24 @@ def pl_functions(draw, max_vertices=12):
     return PLFunction(xs, ys)
 
 
+@st.composite
+def tied_pl_functions(draw, max_vertices=12):
+    """Heights from four integers, so equal minima, equal maxima and endpoint
+    maxima are common. The abscissae are at most 3 in magnitude: at the
+    vertical direction x*cos(pi/2) is then under half an ulp of every height
+    (4 to 7), and equal heights project to equal values."""
+    n = draw(st.integers(min_value=2, max_value=max_vertices))
+    ys = [draw(st.integers(min_value=4, max_value=7))]
+    while len(ys) < n:
+        ys.append(draw(st.sampled_from([y for y in range(4, 8) if y != ys[-1]])))
+    return PLFunction(np.linspace(-3.0, 3.0, n), ys)
+
+
 directions = st.floats(min_value=0.05, max_value=math.pi - 0.05)
 
 
 @settings(max_examples=150, deadline=None)
-@given(pl_functions(), directions)
+@given(st.one_of(pl_functions(), tied_pl_functions()), st.one_of(directions, st.just(VERTICAL.theta)))
 def test_diagram_matches_brute_force_oracle(f, theta):
     got = as_pairs(directional_diagram(f, Angle(theta)))
     expected = brute_force_diagram(f, theta)

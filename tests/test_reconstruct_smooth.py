@@ -16,7 +16,6 @@ from persrec.reconstruct_smooth import (
     filter_and_locate,
     five_line_reconstruct,
     pl_proxy,
-    refine_estimates,
     tangent_heights,
 )
 
@@ -212,7 +211,7 @@ def test_alternation_examples():
 
 
 # ---------------------------------------------------------------------------
-# detection guarantee and refinement
+# detection guarantee
 
 @pytest.mark.parametrize("c", [0.5, 1.0, 2.0, 5.0])
 def test_detection_guarantee_on_parabolas(c):
@@ -228,20 +227,3 @@ def test_detection_guarantee_on_parabolas(c):
     r = tangent_heights(f, -slope)
     tris = detect_triangles(t, s, r, slope, tau)
     assert any(tri.x1 < 0.0 < tri.x2 for tri in tris)
-
-
-def test_refinement_converges_on_asymmetric_parabola():
-    fn = lambda x: x * x * (1.0 + 0.3 * np.sin(x))
-    xs = np.linspace(-0.2, 0.2, 100_001)
-    f = SampledFunction(xs, fn(xs))
-    ests = refine_estimates(f, start_deg=30.0, rounds=12)
-    errs = [abs(e) for e in ests]
-    assert errs[0] < 1e-2
-    assert min(errs) < 1e-6
-
-
-def test_refinement_requires_unique_horizontal_tangent():
-    fn = lambda x: np.cos(8.0 * x)
-    f = sampled(fn, (0.0, 2.0), spu=5000.0)
-    with pytest.raises(ValueError):
-        refine_estimates(f)
