@@ -23,7 +23,6 @@ from .landscape import (
     reconstruct_from_landscapes,
 )
 from .reconstruct_pl import (
-    OpCounter,
     TripleConfig,
     count_comparisons,
     naive_reconstruct,

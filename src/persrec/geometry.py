@@ -6,10 +6,10 @@ orthogonal to the unit vector e^{i*theta} whose signed offset from the origin
 is t. For theta != pi/2 its slope is -1/tan(theta); for theta = pi/2 it is the
 horizontal line y = t.
 
-`intersect` is the closed form for the crossing of two such lines; only the
-rolling-ball sweep in `reconstruct_pl` keeps an inline copy, for speed. Its
-heights broadcast as numpy arrays, so one call meets a line with a whole
-family of parallel ones.
+`intersect` is the closed form for the crossing of two such lines, and the
+only one in the package: both triple searches in `reconstruct_pl` call it.
+Its heights broadcast as numpy arrays, so one call meets a line with a whole
+family of parallel ones, or a block of lines with another family.
 """
 
 from __future__ import annotations

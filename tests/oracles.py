@@ -2,11 +2,13 @@
 
 These deliberately share no logic with the library: the diagram oracle tracks
 sublevel-set intervals geometrically (recomputed from scratch at every level),
-and the landscape oracles evaluate tent order statistics pointwise.
+the landscape oracles evaluate tent order statistics pointwise, and the
+rolling-ball oracle walks the two-pointer merge one comparison at a time.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -128,3 +130,60 @@ def level_decode_oracle(landscape):
         out.append(tm - um if slope > 0 else tm + um)
     return out
 
+
+def rolling_ball_by_scan(t_heights, s_heights, r_heights, cfg):
+    """The paper's rolling-ball two-pointer sweep, one comparison at a time.
+
+    Returns the reconstructed points as sorted (x, y) tuples, start and end
+    included, and the comparison count: the sorts' comparisons plus one per
+    sweep step. Per S-line the T-crossings (T sorted decreasing) and the
+    R-crossings (R increasing) both run left to right; the one further left is
+    discarded (a tie discards the T-crossing), and the sweep stops at the
+    first coincidence within match_tol inside the x window. An out-of-window
+    coincidence discards its R-line. A point within match_tol of one kept
+    before it is dropped; start and end are kept first.
+    """
+    th0, th1, th2 = cfg.theta0.theta, cfg.theta1.theta, cfg.theta2.theta
+    sin0, cos0 = math.sin(th0), math.cos(th0)
+    sin1, cos1 = math.sin(th1), math.cos(th1)
+    sin2, cos2 = math.sin(th2), math.cos(th2)
+    den10, den12 = math.sin(th1 - th0), math.sin(th1 - th2)
+    tol2 = cfg.match_tol * cfg.match_tol
+    count = 0
+
+    def cmp(a, b):
+        nonlocal count
+        count += 1
+        return (a > b) - (a < b)
+
+    ts = sorted(t_heights, key=functools.cmp_to_key(cmp), reverse=True)
+    ss = sorted(s_heights, key=functools.cmp_to_key(cmp))
+    rs = sorted(r_heights, key=functools.cmp_to_key(cmp))
+
+    x_lo, x_hi = cfg.x_window
+    found = [(cfg.start.x, cfg.start.y), (cfg.end.x, cfg.end.y)]
+
+    def push(x, y):
+        if all((px - x) * (px - x) + (py - y) * (py - y) >= tol2 for px, py in found):
+            found.append((x, y))
+
+    for s in ss:
+        i = j = 0
+        while i < len(rs) and j < len(ts):
+            count += 1
+            r, t = rs[i], ts[j]
+            x_r = (r * sin1 - s * sin2) / den12
+            y_r = (s * cos2 - r * cos1) / den12
+            x_t = (t * sin1 - s * sin0) / den10
+            y_t = (s * cos0 - t * cos1) / den10
+            dx, dy = x_r - x_t, y_r - y_t
+            if dx * dx + dy * dy < tol2:
+                if x_lo <= x_r <= x_hi:
+                    push(x_r, y_r)
+                    break
+                i += 1
+            elif x_r < x_t:
+                i += 1
+            else:
+                j += 1
+    return sorted(found), count

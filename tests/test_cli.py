@@ -76,6 +76,26 @@ def test_full_pl_pipeline_round_trip(tmp_path):
         assert report["ok"] and report["matched"] == 12
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_reconstruct_pl_rejects_a_tolerance_that_is_not_finite(tmp_path, tol, capsys):
+    f = tmp_path / "f.json"
+    run(["gen", "pl", "--n", 3, "--seed", 5, "--out", f])
+    for deg in (90, 85, 80):
+        run(["diagram", "--in", f, "--angle-deg", deg, "--out", tmp_path / f"d{deg}.json"])
+    capsys.readouterr()
+    assert run([
+        "reconstruct-pl",
+        "--in-t", tmp_path / "d90.json",
+        "--in-s", tmp_path / "d85.json",
+        "--in-r", tmp_path / "d80.json",
+        "--start", "0,0",
+        "--end", "1,0",
+        "--match-tol", tol,
+    ]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "match_tol" in err
+
+
 def test_verify_fails_on_wrong_truth(tmp_path):
     rec = tmp_path / "rec.json"
     rec.write_text(json.dumps({"vertices": [[0.0, 0.0], [1.0, 1.0]]}))

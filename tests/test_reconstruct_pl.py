@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from persrec.reconstruct_pl import (
     naive_reconstruct,
     rolling_ball_reconstruct,
 )
+
+from oracles import rolling_ball_by_scan
 
 
 def heights_for(f, cfg):
@@ -44,6 +47,13 @@ def expected_for(f, truth):
         + [(c.x, c.y) for c in truth]
         + [(float(f.xs[-1]), float(f.ys[-1]))]
     )
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-6])
+def test_config_rejects_a_tolerance_that_is_not_positive_and_finite(tol):
+    p = Point2(0.0, 0.0)
+    with pytest.raises(ValueError, match="match_tol"):
+        TripleConfig.default(p, p, match_tol=tol)
 
 
 def test_config_rejects_unordered_angles():
@@ -163,3 +173,102 @@ def test_counter_ticks():
     c.tick()
     c.tick(3)
     assert c.count == 4
+
+
+def lines_through(cfg, points):
+    """Heights of the T-, S- and R-lines through each (x, y) of `points`."""
+    return tuple(
+        [x * math.cos(a.theta) + y * math.sin(a.theta) for x, y in points]
+        for a in (cfg.theta0, cfg.theta1, cfg.theta2)
+    )
+
+
+def assert_equals_scan(t, s, r, cfg):
+    """Points and comparison count of the array sweep equal the scalar sweep's
+    exactly; returns the scan's count."""
+    expected, count = rolling_ball_by_scan(t, s, r, cfg)
+    assert [(p.x, p.y) for p in rolling_ball_reconstruct(t, s, r, cfg)] == expected
+    assert count_comparisons(rolling_ball_reconstruct, t, s, r, cfg) == count
+    return count
+
+
+# the pl-triple benchmark panel, (interior points, seed), and seeded draws
+PANEL = [(8 + 56 * i // 47, i) for i in range(48)] + [(200 + 200 * i // 15, 100 + i) for i in range(16)]
+_draws = np.random.default_rng(20261019)
+DRAWS = [(int(n), int(seed)) for n, seed in zip(_draws.integers(1, 49, 1000), _draws.integers(0, 10**6, 1000))]
+
+
+def test_rolling_ball_equals_the_scalar_sweep_on_the_panel_and_seeded_draws():
+    for n, seed in PANEL + DRAWS:
+        f, _ = gen_pl(n, seed=seed)
+        heights = heights_for(f, default_cfg(f))
+        for tol in (1e-6, 1e-9):
+            assert_equals_scan(*heights, default_cfg(f, tol))
+
+
+@pytest.mark.parametrize(
+    "t,s,r",
+    [([], [0.2], [0.3]), ([0.1], [], [0.3]), ([0.1], [0.2], []), ([], [], []), ([0.1], [0.2], [0.3])],
+    ids=["no-T", "no-S", "no-R", "none", "singletons"],
+)
+def test_empty_and_singleton_families_equal_the_scalar_sweep(t, s, r):
+    assert_equals_scan(t, s, r, TripleConfig.default(Point2(0.0, 0.5), Point2(1.0, 0.25)))
+
+
+def test_an_exact_tie_discards_the_t_crossing():
+    # along the S-line s = 0: T-crossings at -11.4 and -0.0, R-crossings at
+    # 0.0 and 11.4; at a tolerance whose square is 0 the tie is no match, and
+    # discarding T_1 at the tie ends the merge after two steps, one fewer
+    # than discarding R_0 would take
+    cfg = TripleConfig.default(Point2(0.0, 0.5), Point2(1.0, 0.25), match_tol=1e-300)
+    sorts = 2  # one comparison to sort each pair
+    assert assert_equals_scan([0.0, 1.0], [0.0], [0.0, 1.0], cfg) == sorts + 2
+
+
+def test_an_out_of_window_coincidence_discards_its_r_line_early():
+    # T_0, S and R_0 meet at the origin, left of the window [1, 2]; the tie
+    # there counts T_0 left of R_0, yet the coincidence discards R_0, so R_1
+    # still meets T_0 before the T-lines run out
+    cfg = TripleConfig.default(Point2(1.0, 0.0), Point2(2.0, 0.0))
+    sorts = 1
+    assert assert_equals_scan([0.0], [0.0], [0.0, 1.0], cfg) == sorts + 2
+
+
+def on_s_line(cfg, s, x):
+    return x, (s - x * math.cos(cfg.theta1.theta)) / math.sin(cfg.theta1.theta)
+
+
+def test_an_out_of_window_coincidence_before_an_in_window_one_on_one_s_line():
+    cfg = TripleConfig.default(Point2(0.0, 0.0), Point2(1.0, 1.0))
+    inside, outside = on_s_line(cfg, 0.3, 0.5), on_s_line(cfg, 0.3, -5.0)
+    t, (s_line, _), r = lines_through(cfg, [outside, inside])
+    # one sort comparison each for T and R; R_0 meets T_0 outside the window,
+    # then R_1 passes T_0 and stops at T_1
+    assert assert_equals_scan(t, [s_line], r, cfg) == 2 + 3
+    points = rolling_ball_reconstruct(t, [s_line], r, cfg)
+    assert_points_match(points, [(0.0, 0.0), inside, (1.0, 1.0)])
+
+
+def test_the_first_of_several_close_t_crossings_is_the_one_met():
+    # three T-lines cross the S-line 6e-7, 4e-7 and 2e-7 left of where the
+    # R-line does, all within match_tol: the merge meets the leftmost first
+    cfg = TripleConfig.default(Point2(0.0, 0.0), Point2(1.0, 1.0))
+    t, _, _ = lines_through(cfg, [on_s_line(cfg, 0.3, 0.5 - d) for d in (6e-7, 4e-7, 2e-7)])
+    _, s, r = lines_through(cfg, [on_s_line(cfg, 0.3, 0.5)])
+    sorts = 2  # T arrives sorted: one comparison per neighbour pair
+    assert assert_equals_scan(t, s, r, cfg) == sorts + 1
+
+
+def test_rolling_ball_on_four_hundred_points_stays_small_in_traced_memory():
+    # the sweep works on blocks of S-lines; one pass over every S-line at
+    # once would hold a few 400 x 400 arrays, about 13 MB
+    f, _ = gen_pl(400, seed=115)
+    cfg = default_cfg(f)
+    heights = heights_for(f, cfg)
+    tracemalloc.start()
+    try:
+        rolling_ball_reconstruct(*heights, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
