@@ -6,11 +6,17 @@ x1 < x2 close to x0, and a pair of shallow tangents with slopes +-m2 crossing
 at x3, x4 even closer. Tangent-line heights come from directional persistence
 diagrams of the sampled function (a dense piecewise-linear proxy).
 
-Detection keeps every (horizontal, steep-, steep+) triple whose crossings are
-less than tau apart; a candidate survives when some unused shallow pair
-crosses strictly inside its base, and the crossing abscissas feed a
-closed-form weighted estimate of x0. Maxima work by mirror symmetry: sorting
-each crossing pair ascending makes one formula serve both cases.
+Detection keeps every (horizontal, steep-, steep+) triple whose crossings
+with y = t are distinct and less than tau apart, as a row (t, r, s, x1, x2).
+A row survives when a shallow pair crosses strictly inside its base; each
+shallow pair goes to the first row that brackets it, and the crossing
+abscissas feed a closed-form weighted estimate of x0. Maxima work by mirror
+symmetry: sorting each crossing pair ascending makes one formula serve both
+cases. Both steps are masked broadcasts over blocks of about
+`reconstruct_pl.BLOCK` elements, so memory stays flat as the families grow.
+
+A result whose minima and maxima do not alternate comes with a warning, but
+a vanishing estimator denominator raises `DegenerateEstimator`.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from .persistence import (
     critical_heights,
     directional_diagram,
 )
+from .reconstruct_pl import BLOCK
 
 DEGENERATE_TOL = 1e-12
 
@@ -46,8 +53,9 @@ class SmoothConfig:
     shallow_deg: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        # NaN fails every window comparison, and inf makes every pair narrow
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ValueError(f"tau must be positive and finite, got {self.tau!r}")
         if not (0.0 < self.shallow_deg < self.steep_deg < 90.0):
             raise ValueError("need 0 < shallow < steep < 90 degrees")
 
@@ -106,23 +114,6 @@ class SampledFunction:
         return cls(data["xs"], data["ys"])
 
 
-@dataclass(frozen=True)
-class Triangle:
-    """A detection candidate: a horizontal critical height t and a steep pair
-    (r at slope -m, s at slope +m) whose crossings x1 < x2 with y = t span
-    less than the detection width."""
-
-    t: float
-    r: float
-    s: float
-    x1: float
-    x2: float
-
-    def __post_init__(self) -> None:
-        if not (self.x1 < self.x2):
-            raise ValueError("need x1 < x2")
-
-
 def pl_proxy(f: SampledFunction) -> PLFunction:
     """Piecewise-linear stand-in through the samples; consecutive equal values
     (possible at flat spots of a coarse grid) are collapsed to the first."""
@@ -146,95 +137,95 @@ def tangent_heights(f: SampledFunction, slope: float) -> list[float]:
     return [h * scale for h in critical_heights(directional_diagram(pl_proxy(f), v))]
 
 
-def _cross_at(t: float, slope: float, height: float) -> float:
-    """x-coordinate where the line y = slope*x + height meets y = t."""
-    return (t - height) / slope
-
-
 def detect_triangles(
-    t_heights: list[float],
-    s_heights: list[float],
-    r_heights: list[float],
-    m: float,
-    tau: float,
-) -> list[Triangle]:
-    """All (t, r, s) triples whose +-m crossings with y = t are under tau apart.
+    t_heights: list[float], s_heights: list[float], r_heights: list[float], m: float, tau: float
+) -> np.ndarray:
+    """Rows (t, r, s, x1, x2), sorted by (t, x1, x2, r, s), of every triple
+    whose crossings with y = t, xr of y = -m*x + r and xs of y = m*x + s, are
+    distinct and under tau apart; x1 < x2 are the two crossings in order.
 
     Deliberately greedy: every narrow triple is kept as a candidate, false
     positives included; the shallow-pair filter removes them later.
     """
-    triangles = []
-    for t in t_heights:
-        rx = sorted((_cross_at(t, -m, r), r) for r in r_heights)
-        sx = sorted((_cross_at(t, m, s), s) for s in s_heights)
-        lo = 0
-        for xr, r in rx:
-            while lo < len(sx) and sx[lo][0] <= xr - tau:
-                lo += 1
-            j = lo
-            while j < len(sx) and sx[j][0] < xr + tau:
-                xs_, s = sx[j]
-                if xs_ != xr:
-                    triangles.append(Triangle(t, r, s, min(xr, xs_), max(xr, xs_)))
-                j += 1
-    triangles.sort(key=lambda tri: (tri.t, tri.x1, tri.x2))
-    return triangles
+    t, s, r = (np.asarray(h, dtype=float) for h in (t_heights, s_heights, r_heights))
+    rows = [np.empty((0, 5))]
+    step = max(1, BLOCK // max(1, len(r) * len(s)))
+    for lo in range(0, len(t), step):
+        tb = t[lo:lo + step, None, None]
+        xr = (tb - r[:, None]) / -m
+        xs = (tb - s) / m
+        q, i, j = np.nonzero((xr - tau < xs) & (xs < xr + tau) & (xs != xr))
+        a, b = xr[q, i, 0], xs[q, 0, j]
+        rows.append(np.column_stack((t[lo + q], r[i], s[j], np.minimum(a, b), np.maximum(a, b))))
+    rows = np.concatenate(rows)
+    return rows[np.lexsort(rows[:, [2, 1, 4, 3, 0]].T)]
 
 
-def compute_x(x1: float, x2: float, x3: float, x4: float, m1: float, m2: float) -> float:
+def compute_x(x1, x2, x3, x4, m1: float, m2: float):
     """Closed-form estimate of the critical abscissa from the crossings of a
-    steep pair (x1, x2, slope magnitude m1) and a shallow pair (x3, x4, m2)."""
+    steep pair (x1, x2, slope magnitude m1) and a shallow pair (x3, x4, m2).
+    Broadcasts over arrays; the first vanishing denominator raises."""
     den = 2.0 * m2 * (x3 - x4) - 2.0 * m1 * (x1 - x2)
-    if abs(den) < DEGENERATE_TOL:
-        raise DegenerateEstimator(f"denominator {den!r} below {DEGENERATE_TOL}")
+    small = np.flatnonzero(np.abs(den) < DEGENERATE_TOL)
+    if small.size:
+        raise DegenerateEstimator(f"denominator {float(np.ravel(den)[small[0]])!r} below {DEGENERATE_TOL}")
     num = m2 * (x1 + x2) * (x3 - x4) - m1 * (x1 - x2) * (x3 + x4)
     return num / den
 
 
-def filter_and_locate(
-    triangles: list[Triangle],
-    f: SampledFunction,
-    cfg: SmoothConfig,
-) -> list[CriticalPoint]:
-    """Validate candidate triangles with shallow tangent pairs and locate the
-    enclosed critical points.
+def filter_and_locate(triangles: np.ndarray, f: SampledFunction, cfg: SmoothConfig) -> list[CriticalPoint]:
+    """Validate candidate rows (t, r, s, x1, x2) with shallow tangent pairs
+    and locate the enclosed critical points.
 
-    A pair (rr, ss) of shallow heights validates a triangle when both its
-    crossings with y = t lie strictly inside (x1, x2). Each pair validates at
-    most one candidate (quasi-multiple tangents produce adjacent duplicates of
-    one critical point, and the shallow pair is what actually fixes it), so a
-    pair once used is never reused.
+    A pair (rr, ss) of shallow heights brackets a row when both its crossings
+    with y = t lie strictly inside (x1, x2). Each pair goes to the first row,
+    in (row, ss, rr) order, that brackets it, and is used up there, even when
+    its estimate then falls outside the domain: quasi-multiple tangents give
+    adjacent duplicates of one critical point, and the shallow pair is what
+    fixes it. A row can take several pairs, and each gives its own point.
+    The estimates are computed in that order, so the first vanishing
+    denominator in it is the one `DegenerateEstimator` reports.
     """
     m1, m2 = cfg.m1, cfg.m2
-    rr_heights = tangent_heights(f, -m2)
-    ss_heights = tangent_heights(f, m2)
-    used: set[tuple[float, float]] = set()
-    a, b = f.domain
-    dx = f.step
-
-    points = []
-    for tri in triangles:
-        for ss in ss_heights:
-            x4c = _cross_at(tri.t, m2, ss)
-            if not (tri.x1 < x4c < tri.x2):
-                continue
-            for rr in rr_heights:
-                if (rr, ss) in used:
-                    continue
-                x3c = _cross_at(tri.t, -m2, rr)
-                if not (tri.x1 < x3c < tri.x2):
-                    continue
-                used.add((rr, ss))
-                x_est = compute_x(tri.x1, tri.x2, min(x3c, x4c), max(x3c, x4c), m1, m2)
-                if not (a + dx < x_est < b - dx):
-                    # boundary points are the caller's data, never detected here
-                    continue
-                r_cross = _cross_at(tri.t, -m1, tri.r)
-                s_cross = _cross_at(tri.t, m1, tri.s)
-                kind = CriticalKind.LOCAL_MIN if r_cross < s_cross else CriticalKind.LOCAL_MAX
-                points.append(CriticalPoint(x_est, tri.t, kind))
-    points.sort(key=lambda p: p.x)
-    return points
+    # a pair is two height values: a height listed twice is one line
+    rr = np.unique(tangent_heights(f, -m2))
+    ss = np.unique(tangent_heights(f, m2))
+    rows = np.reshape(triangles, (-1, 5))
+    t, x1, x2 = rows[:, [0]], rows[:, [3]], rows[:, [4]]
+    taken = np.zeros((len(ss), len(rr)), dtype=bool)
+    picks = [(np.zeros(0, dtype=int),) * 3]
+    step = max(1, BLOCK // max(1, len(ss) + len(rr)))
+    for lo in range(0, len(rows), step):
+        blk = slice(lo, lo + step)
+        x3 = (t[blk] - rr) / -m2
+        x4 = (t[blk] - ss) / m2
+        in3 = (x1[blk] < x3) & (x3 < x2[blk])
+        in4 = (x1[blk] < x4) & (x4 < x2[blk])
+        # most rows bracket nothing, so only the rows and heights that do
+        # enter the (row, ss, rr) mask
+        k = np.flatnonzero(in3.any(axis=1) & in4.any(axis=1))
+        if not k.size:
+            continue
+        i, j = np.flatnonzero(in3[k].any(axis=0)), np.flatnonzero(in4[k].any(axis=0))
+        hit = in4[np.ix_(k, j)][:, :, None] & in3[np.ix_(k, i)][:, None, :] & ~taken[np.ix_(j, i)]
+        jj, ii = np.nonzero(hit.any(axis=0))
+        picks.append((lo + k[hit.argmax(axis=0)[jj, ii]], j[jj], i[ii]))
+        taken[j[jj], i[ii]] = True
+    k, j, i = (np.concatenate(p) for p in zip(*picks))
+    order = np.lexsort((i, j, k))
+    t, r, s, x1, x2 = rows[k[order]].T
+    x3, x4 = (t - rr[i[order]]) / -m2, (t - ss[j[order]]) / m2
+    # min and max as Python's builtins take them, signed zeros included
+    x_est = compute_x(x1, x2, np.where(x4 < x3, x4, x3), np.where(x4 > x3, x4, x3), m1, m2)
+    (a, b), dx = f.domain, f.step
+    # boundary points are the caller's data, never detected here
+    keep = np.flatnonzero((a + dx < x_est) & (x_est < b - dx))
+    keep = keep[np.argsort(x_est[keep], kind="stable")]
+    is_min = (t - r) / -m1 < (t - s) / m1
+    return [
+        CriticalPoint(x, y, CriticalKind.LOCAL_MIN if low else CriticalKind.LOCAL_MAX)
+        for x, y, low in zip(x_est[keep].tolist(), t[keep].tolist(), is_min[keep].tolist())
+    ]
 
 
 def alternation_check(points: list[CriticalPoint]) -> bool:
@@ -254,7 +245,9 @@ def five_line_reconstruct(f: SampledFunction, cfg: SmoothConfig | None = None) -
     """Full pipeline: tangent heights -> narrow triangles -> shallow-pair
     filtering and location -> alternation sanity check.
 
-    Degraded results are reported through warnings rather than raised.
+    Points that do not alternate are reported through a warning. A vanishing
+    estimator denominator is not: `DegenerateEstimator` escapes, as it does on
+    `gen_harmonic(40)`.
     """
     cfg = cfg or SmoothConfig()
     t_heights = tangent_heights(f, 0.0)

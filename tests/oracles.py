@@ -4,6 +4,9 @@ These deliberately share no logic with the library: the diagram oracle tracks
 sublevel-set intervals geometrically (recomputed from scratch at every level),
 the landscape oracles evaluate tent order statistics pointwise, and the
 rolling-ball oracle walks the two-pointer merge one comparison at a time.
+The smooth-path scans walk one candidate at a time; they share only the
+shallow heights (`tangent_heights`) and the scalar estimator (`compute_x`),
+which are tested on their own.
 """
 
 from __future__ import annotations
@@ -13,7 +16,9 @@ import math
 
 import numpy as np
 
-from persrec.persistence import PLFunction
+from persrec.persistence import CriticalKind, CriticalPoint, PLFunction
+from persrec import reconstruct_smooth
+from persrec.reconstruct_smooth import compute_x
 
 
 def sublevel_intervals(xs, hs, t):
@@ -187,3 +192,74 @@ def rolling_ball_by_scan(t_heights, s_heights, r_heights, cfg):
             else:
                 j += 1
     return sorted(found), count
+
+
+def _cross_at(t, slope, height):
+    """x-coordinate where the line y = slope*x + height meets y = t."""
+    return (t - height) / slope
+
+
+def triangles_by_scan(t_heights, s_heights, r_heights, m, tau):
+    """Narrow (t, r, s) triples by sorted crossings and a window pointer.
+
+    Per horizontal height the R- and S-crossings with y = t are sorted; for
+    each R-crossing xr a pointer skips the S-crossings at or left of xr - tau
+    and the scan keeps those left of xr + tau that differ from xr. Returns
+    (t, r, s, x1, x2) tuples, x1 < x2, stably sorted by (t, x1, x2).
+    """
+    triangles = []
+    for t in t_heights:
+        rx = sorted((_cross_at(t, -m, r), r) for r in r_heights)
+        sx = sorted((_cross_at(t, m, s), s) for s in s_heights)
+        lo = 0
+        for xr, r in rx:
+            while lo < len(sx) and sx[lo][0] <= xr - tau:
+                lo += 1
+            j = lo
+            while j < len(sx) and sx[j][0] < xr + tau:
+                xs_, s = sx[j]
+                if xs_ != xr:
+                    triangles.append((t, r, s, min(xr, xs_), max(xr, xs_)))
+                j += 1
+    triangles.sort(key=lambda tri: (tri[0], tri[3], tri[4]))
+    return triangles
+
+
+def locate_by_scan(triangles, f, cfg):
+    """Shallow-pair validation one triangle, one ss and one rr at a time.
+
+    A pair (rr, ss) whose crossings with y = t both lie strictly inside
+    (x1, x2) is recorded in a `used` set on first sight, then its estimate is
+    kept when it lies more than one step inside the domain. Points come back
+    stably sorted by x.
+    """
+    m1, m2 = cfg.m1, cfg.m2
+    # through the module, so that a test can stand in its own heights
+    rr_heights = reconstruct_smooth.tangent_heights(f, -m2)
+    ss_heights = reconstruct_smooth.tangent_heights(f, m2)
+    used = set()
+    a, b = f.domain
+    dx = f.step
+
+    points = []
+    for t, r, s, x1, x2 in triangles:
+        for ss in ss_heights:
+            x4c = _cross_at(t, m2, ss)
+            if not (x1 < x4c < x2):
+                continue
+            for rr in rr_heights:
+                if (rr, ss) in used:
+                    continue
+                x3c = _cross_at(t, -m2, rr)
+                if not (x1 < x3c < x2):
+                    continue
+                used.add((rr, ss))
+                x_est = compute_x(x1, x2, min(x3c, x4c), max(x3c, x4c), m1, m2)
+                if not (a + dx < x_est < b - dx):
+                    continue
+                r_cross = _cross_at(t, -m1, r)
+                s_cross = _cross_at(t, m1, s)
+                kind = CriticalKind.LOCAL_MIN if r_cross < s_cross else CriticalKind.LOCAL_MAX
+                points.append(CriticalPoint(x_est, t, kind))
+    points.sort(key=lambda p: p.x)
+    return points

@@ -160,6 +160,15 @@ def test_reconstruct_smooth_cli(tmp_path):
     assert out["critical_points"][0]["x"] == pytest.approx(-0.5, abs=1e-3)
 
 
+def test_reconstruct_smooth_rejects_a_tau_that_is_not_a_number(tmp_path, capsys):
+    f = tmp_path / "f.json"
+    run(["gen", "harmonic", "--samples-per-unit", 2000, "--seed", 1, "--out", f])
+    capsys.readouterr()
+    assert run(["reconstruct-smooth", "--in", f, "--tau", "nan"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "tau" in err
+
+
 def test_reconstruct_smooth_rejects_vertex_input(tmp_path):
     f = tmp_path / "f.json"
     f.write_text(json.dumps({"vertices": [[0.0, 0.0], [1.0, 1.0]]}))

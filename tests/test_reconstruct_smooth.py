@@ -1,15 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from persrec import reconstruct_smooth as smooth
+from persrec.generators import gen_harmonic
 from persrec.persistence import CriticalKind, CriticalPoint
 from persrec.reconstruct_smooth import (
     DegenerateEstimator,
     SampledFunction,
     SmoothConfig,
-    Triangle,
     alternation_check,
     compute_x,
     detect_triangles,
@@ -18,6 +20,8 @@ from persrec.reconstruct_smooth import (
     pl_proxy,
     tangent_heights,
 )
+
+from oracles import locate_by_scan, triangles_by_scan
 
 
 def sampled(fn, domain, spu=10_000.0):
@@ -36,19 +40,18 @@ def test_config_defaults_and_validation():
     assert cfg.tau == 0.08 and cfg.steep_deg == 30.0 and cfg.shallow_deg == 0.1
     assert cfg.m1 == pytest.approx(math.tan(math.radians(30.0)))
     with pytest.raises(ValueError):
-        SmoothConfig(tau=-1.0)
-    with pytest.raises(ValueError):
         SmoothConfig(steep_deg=0.05, shallow_deg=0.1)
+
+
+@pytest.mark.parametrize("tau", [math.nan, math.inf, 0.0, -1.0])
+def test_config_rejects_a_tau_that_is_not_positive_and_finite(tau):
+    with pytest.raises(ValueError, match="tau"):
+        SmoothConfig(tau=tau)
 
 
 def test_sampled_function_requires_uniform_grid():
     with pytest.raises(ValueError):
         SampledFunction([0.0, 0.1, 0.3], [0.0, 1.0, 2.0])
-
-
-def test_triangle_requires_ordered_base():
-    with pytest.raises(ValueError):
-        Triangle(0.0, 0.0, 0.0, 1.0, 1.0)
 
 
 def test_pl_proxy_collapses_equal_samples():
@@ -92,6 +95,25 @@ def test_compute_x_degenerate_denominator():
         compute_x(0.0, 1.0, 0.0, 0.5, 1.0, 2.0)
 
 
+def test_compute_x_broadcast_equals_scalar_calls():
+    rng = np.random.default_rng(13)
+    x1, x2, x3, x4 = np.sort(rng.uniform(-1.0, 1.0, (4, 200)), axis=0)
+    for m1, m2 in ((1.0, 0.5), (math.tan(math.radians(30.0)), math.tan(math.radians(0.1)))):
+        scalar = [compute_x(*args, m1, m2) for args in zip(x1.tolist(), x2.tolist(), x3.tolist(), x4.tolist())]
+        assert compute_x(x1, x2, x3, x4, m1, m2).tolist() == scalar
+
+
+def test_compute_x_raises_at_the_first_vanishing_denominator():
+    # den = 4*(x3 - x4) + 2: 1.6, then 0, then about -4e-13
+    x3 = np.array([0.1, 0.0, 0.2])
+    x4 = np.array([0.2, 0.5, 0.7 + 1e-13])
+    with pytest.raises(DegenerateEstimator) as exc:
+        compute_x(0.0, 1.0, x3, x4, 1.0, 2.0)
+    with pytest.raises(DegenerateEstimator) as scalar:
+        compute_x(0.0, 1.0, 0.0, 0.5, 1.0, 2.0)
+    assert str(exc.value) == str(scalar.value)
+
+
 def test_estimator_contained_in_shallow_bracket():
     # tangent crossings of convex perturbed parabolas, built analytically
     rng = np.random.default_rng(4)
@@ -116,7 +138,8 @@ def test_estimator_contained_in_shallow_bracket():
 # detection
 
 def test_detect_triangles_empty_heights():
-    assert detect_triangles([], [0.1], [0.2], 0.5, 0.08) == []
+    assert detect_triangles([], [0.1], [0.2], 0.5, 0.08).shape == (0, 5)
+    assert detect_triangles([0.1], [], [0.2], 0.5, 0.08).shape == (0, 5)
 
 
 def test_parabola_base_too_wide_at_default_tau():
@@ -126,11 +149,10 @@ def test_parabola_base_too_wide_at_default_tau():
     t = tangent_heights(f, 0.0)
     s = tangent_heights(f, m)
     r = tangent_heights(f, -m)
-    assert detect_triangles(t, s, r, m, 0.08) == []
-    wide = detect_triangles(t, s, r, m, 0.5)
-    assert len(wide) == 1
-    assert wide[0].x1 == pytest.approx(-m / 4, abs=1e-3)
-    assert wide[0].x2 == pytest.approx(m / 4, abs=1e-3)
+    assert len(detect_triangles(t, s, r, m, 0.08)) == 0
+    ((_, _, _, x1, x2),) = detect_triangles(t, s, r, m, 0.5)
+    assert x1 == pytest.approx(-m / 4, abs=1e-3)
+    assert x2 == pytest.approx(m / 4, abs=1e-3)
 
 
 def test_nonagon_triangle_matches_figure_crossings():
@@ -141,15 +163,24 @@ def test_nonagon_triangle_matches_figure_crossings():
     t0 = 0.429917
     r_height = 0.570083 + t0  # y-intercept of y = -x + x1 + t0
     s_height = t0 - 0.806887  # y-intercept of y = x - x2 + t0
-    (tri,) = detect_triangles([t0], [s_height], [r_height], 1.0, 0.25)
-    assert tri.x1 == pytest.approx(0.570083, abs=1e-12)
-    assert tri.x2 == pytest.approx(0.806887, abs=1e-12)
+    ((_, _, _, x1, x2),) = detect_triangles([t0], [s_height], [r_height], 1.0, 0.25)
+    assert x1 == pytest.approx(0.570083, abs=1e-12)
+    assert x2 == pytest.approx(0.806887, abs=1e-12)
+
+
+def test_swapped_steep_crossings_sort_by_r_then_s():
+    # at t = 0 with m = 1, xr = r and xs = -s: r = 0.1 with s = -0.3 and
+    # r = 0.3 with s = -0.1 give the same base (0.1, 0.3); the matched pairs
+    # (xr == xs) are not triangles
+    rows = detect_triangles([0.0], [-0.3, -0.1], [0.3, 0.1], 1.0, 0.5)
+    assert rows.tolist() == [[0.0, 0.1, -0.3, 0.1, 0.3], [0.0, 0.3, -0.1, 0.1, 0.3]]
+    assert rows.tolist() == [list(row) for row in triangles_by_scan([0.0], [-0.3, -0.1], [0.3, 0.1], 1.0, 0.5)]
 
 
 def test_triangle_without_interior_shallow_pair_is_dropped():
     f = sampled(lambda x: x * x, (-1.0, 1.0), spu=2000.0)
-    ghost = Triangle(t=0.0, r=5.0, s=5.0, x1=0.5, x2=0.52)
-    assert filter_and_locate([ghost], f, SmoothConfig()) == []
+    ghost = [(0.0, 5.0, 5.0, 0.5, 0.52)]
+    assert filter_and_locate(ghost, f, SmoothConfig()) == []
 
 
 def test_shared_shallow_pair_used_once():
@@ -158,12 +189,115 @@ def test_shared_shallow_pair_used_once():
     t = tangent_heights(f, 0.0)
     s = tangent_heights(f, cfg.m1)
     r = tangent_heights(f, -cfg.m1)
-    (tri,) = detect_triangles(t, s, r, cfg.m1, 0.5)
-    shifted = Triangle(tri.t, tri.r, tri.s, tri.x1 - 1e-4, tri.x2 + 1e-4)
-    points = filter_and_locate([tri, shifted], f, cfg)
+    (row,) = detect_triangles(t, s, r, cfg.m1, 0.5)
+    shifted = row + [0.0, 0.0, 0.0, -1e-4, 1e-4]
+    points = filter_and_locate([row, shifted], f, cfg)
     assert len(points) == 1
     assert points[0].x == pytest.approx(0.0, abs=1e-3)
     assert points[0].kind is CriticalKind.LOCAL_MIN
+
+
+def scan_or_raise(fn, rows, f, cfg):
+    """(x, y, kind) of the points, or the raised estimator message."""
+    try:
+        return [(p.x, p.y, p.kind) for p in fn(rows, f, cfg)]
+    except DegenerateEstimator as exc:
+        return str(exc)
+
+
+def assert_equals_scans(f, cfg):
+    heights = [tangent_heights(f, slope) for slope in (0.0, cfg.m1, -cfg.m1)]
+    rows = detect_triangles(*heights, cfg.m1, cfg.tau)
+    expected = triangles_by_scan(*heights, cfg.m1, cfg.tau)
+    assert rows.tolist() == [list(row) for row in expected]
+    assert scan_or_raise(filter_and_locate, rows, f, cfg) == scan_or_raise(locate_by_scan, expected, f, cfg)
+
+
+def test_candidate_search_equals_the_scans_on_the_panel_and_seeded_draws():
+    # the smooth-five-line panel, then coarser draws at a wider tau; seed 40
+    # raises the estimator
+    for seed in range(100):
+        assert_equals_scans(gen_harmonic(seed)[0], SmoothConfig())
+    for seed in range(100, 130):
+        assert_equals_scans(gen_harmonic(seed, samples_per_unit=2000.0)[0], SmoothConfig(tau=0.12))
+
+
+def test_rounding_ties_sort_by_r_then_s():
+    # 1.0 - h rounds to 1.0 for all four heights: every triple has the base
+    # (-1, 1), and the rows come in r order, then s order
+    rows = detect_triangles([1.0], [4e-17, 3e-17], [2e-17, 1e-17], 1.0, 3.0)
+    assert rows[:, 1:3].tolist() == [[1e-17, 3e-17], [1e-17, 4e-17], [2e-17, 3e-17], [2e-17, 4e-17]]
+    assert rows.tolist() == [list(row) for row in triangles_by_scan([1.0], [4e-17, 3e-17], [2e-17, 1e-17], 1.0, 3.0)]
+
+
+def stand_in_shallow_heights(monkeypatch, cfg, rr, ss):
+    heights = {-cfg.m2: rr, cfg.m2: ss}
+    monkeypatch.setattr(smooth, "tangent_heights", lambda f, slope: heights[slope])
+
+
+def test_the_first_vanishing_denominator_in_row_ss_rr_order_raises(monkeypatch):
+    # crossings are about rr - t and t - ss. The wide row at t = -1 takes
+    # (rr=2e-14, ss=-8e-14) alone; the narrow row at t = 0 brackets the other
+    # three pairs, all degenerate, and (ss=-8e-14, rr=7e-14) comes first
+    f = sampled(lambda x: x * x, (-1.0, 1.0), spu=1000.0)
+    cfg = SmoothConfig(tau=0.5, steep_deg=60.0, shallow_deg=45.0)
+    stand_in_shallow_heights(monkeypatch, cfg, [2e-14, 7e-14], [-8e-14, -4e-14])
+    rows = [(-1.0, 0.0, 0.0, -1.0 + 6e-14, 1.0 + 4e-14), (0.0, 0.0, 0.0, 0.0, 1e-13)]
+    with pytest.raises(DegenerateEstimator) as exc:
+        filter_and_locate(rows, f, cfg)
+    with pytest.raises(DegenerateEstimator) as first:
+        compute_x(0.0, 1e-13, 7e-14 / cfg.m2, 8e-14 / cfg.m2, cfg.m1, cfg.m2)
+    assert str(exc.value) == str(first.value) == scan_or_raise(locate_by_scan, rows, f, cfg)
+    stand_in_shallow_heights(monkeypatch, cfg, [2e-14], [-8e-14])
+    assert len(filter_and_locate(rows, f, cfg)) == 1
+
+
+def test_a_shallow_height_listed_twice_is_one_line(monkeypatch):
+    f = sampled(lambda x: x * x, (-1.0, 1.0), spu=1000.0)
+    cfg = SmoothConfig(tau=0.5, steep_deg=60.0, shallow_deg=45.0)
+    stand_in_shallow_heights(monkeypatch, cfg, [-0.25, -0.25], [-0.25])
+    rows = [(0.0, 0.0, 0.0, -0.3, 0.3)]
+    assert len(filter_and_locate(rows, f, cfg)) == 1
+    assert filter_and_locate(rows, f, cfg) == locate_by_scan(rows, f, cfg)
+
+
+def test_one_candidate_takes_two_shallow_pairs():
+    # at t = 0 the rr crossings are rr/m2 and the ss crossings -ss/m2: the
+    # base (0, 0.7) brackets one rr (0.339) and two ss (-0.006, -0.672)
+    f = sampled(lambda x: np.cos(3.0 * np.pi * x), (-1.0, 1.0), spu=1000.0)
+    cfg = SmoothConfig(tau=0.5, steep_deg=60.0, shallow_deg=45.0)
+    rows = [(0.0, 0.0, 0.0, 0.0, 0.7)]
+    points = filter_and_locate(rows, f, cfg)
+    assert len(points) == 2 and points[0].x < points[1].x
+    assert points == locate_by_scan(rows, f, cfg)
+
+
+def test_a_pair_used_outside_the_domain_is_denied_to_later_candidates():
+    # x^2 has one shallow pair; at t = 2 its crossings are -2.25 and 2.25,
+    # and the lopsided base (-2.3, 10) puts the estimate near -1.03, outside
+    # the domain; at t = 0 the pair would give the minimum at 0
+    f = sampled(lambda x: x * x, (-1.0, 1.0), spu=1000.0)
+    cfg = SmoothConfig(tau=0.5, steep_deg=60.0, shallow_deg=45.0)
+    outside, inside = (2.0, 0.0, 0.0, -2.3, 10.0), (0.0, 0.0, 0.0, -0.3, 0.3)
+    assert filter_and_locate([outside], f, cfg) == []
+    (point,) = filter_and_locate([inside], f, cfg)
+    assert point.x == pytest.approx(0.0, abs=1e-3)
+    assert filter_and_locate([outside, inside], f, cfg) == []
+    assert locate_by_scan([outside, inside], f, cfg) == []
+    assert filter_and_locate([inside, outside], f, cfg) == [point]
+
+
+def test_a_dense_signal_stays_small_in_traced_memory():
+    # 201 heights per family and about 8 400 candidate rows: both steps
+    # without blocks traced 32.7 MB
+    f = sampled(lambda x: np.sin(2 * np.pi * 100 * x + 0.3) + 0.2 * np.sin(2 * np.pi * 3.1 * x), (0.0, 1.0), spu=20_000.0)
+    tracemalloc.start()
+    try:
+        five_line_reconstruct(f, SmoothConfig(tau=0.004))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -225,5 +359,5 @@ def test_detection_guarantee_on_parabolas(c):
     t = tangent_heights(f, 0.0)
     s = tangent_heights(f, slope)
     r = tangent_heights(f, -slope)
-    tris = detect_triangles(t, s, r, slope, tau)
-    assert any(tri.x1 < 0.0 < tri.x2 for tri in tris)
+    rows = detect_triangles(t, s, r, slope, tau)
+    assert any(x1 < 0.0 < x2 for _, _, _, x1, x2 in rows)
