@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -60,6 +61,13 @@ def _parse_pair(text: str) -> tuple[float, float]:
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected 'a,b', got {text!r}") from exc
     return a, b
+
+
+def _samples_per_unit(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
+    return value
 
 
 def _truth_path(out: str) -> str:
@@ -245,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
         if family == "pl":
             g.add_argument("--n", type=int, required=True, help="interior critical points")
         else:
-            g.add_argument("--samples-per-unit", type=float, default=10_000.0)
+            g.add_argument("--samples-per-unit", type=_samples_per_unit, default=10_000.0)
         if family == "spline":
             g.add_argument("--knots", type=int, default=30)
         g.set_defaults(func=cmd_gen, family=family)
@@ -290,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     rl = sub.add_parser("reconstruct-landscapes", help="decode critical points from selected landscapes")
     rl.add_argument("--in-landscapes", required=True)
     rl.add_argument("--in-function", required=True)
-    rl.add_argument("--samples-per-unit", type=float, default=10_000.0)
+    rl.add_argument("--samples-per-unit", type=_samples_per_unit, default=10_000.0)
     rl.add_argument("--out")
     rl.add_argument("--emit-plot-data", metavar="PATH")
     rl.set_defaults(func=cmd_reconstruct_landscapes)

@@ -189,13 +189,21 @@ def extremal_indices(h: np.ndarray) -> np.ndarray:
     first index (the smallest x); a constant sequence reduces to [0]. Along a
     path, monotone interior runs never change the sublevel-set component
     count, so the path through these indices has the same diagram.
+
+    One pass over the runs of step codes (up, down or flat): past flat runs,
+    each change between up and down is an extremum at the index just past
+    the earlier run, and the index past the last run is the right end.
     """
-    idx = np.flatnonzero(np.diff(h, prepend=np.nan) != 0.0)
-    if len(idx) <= 1:
-        return idx
-    d = np.diff(h[idx])
-    sign_change = (d[:-1] > 0) != (d[1:] > 0)
-    return np.concatenate([idx[:1], idx[1:-1][sign_change], idx[-1:]])
+    if len(h) < 2:
+        return np.arange(len(h))
+    # each step coded 1 up, -1 down or 0 flat
+    step = (h[1:] > h[:-1]).view(np.int8) - (h[1:] < h[:-1]).view(np.int8)
+    # one past the last step of each run of one code
+    end = np.append(np.flatnonzero(step[1:] != step[:-1]) + 1, len(step))
+    code = step[end - 1]
+    end, code = end[code != 0], code[code != 0]
+    turns = end[:-1][code[:-1] != code[1:]]
+    return np.concatenate(([0], turns, end[-1:]))
 
 
 def extremal_points(xs, ys) -> list[CriticalPoint]:

@@ -12,8 +12,10 @@ A row survives when a shallow pair crosses strictly inside its base; each
 shallow pair goes to the first row that brackets it, and the crossing
 abscissas feed a closed-form weighted estimate of x0. Maxima work by mirror
 symmetry: sorting each crossing pair ascending makes one formula serve both
-cases. Both steps are masked broadcasts over blocks of about
-`reconstruct_pl.BLOCK` elements, so memory stays flat as the families grow.
+cases. Both steps test exactly only a window of sorted heights, found by
+`searchsorted`: a crossing with y = t is monotone in its line's height.
+Detection takes its (t, r) pairs in blocks of about `reconstruct_pl.BLOCK`,
+so memory stays flat as the families grow.
 
 A result whose minima and maxima do not alternate comes with a warning, but
 a vanishing estimator denominator raises `DegenerateEstimator`.
@@ -71,6 +73,8 @@ class SmoothConfig:
 def uniform_grid(domain: tuple[float, float], samples_per_unit: float) -> np.ndarray:
     """Uniform grid over domain with about samples_per_unit steps per unit
     length, and at least its two ends."""
+    if not (math.isfinite(samples_per_unit) and samples_per_unit > 0):
+        raise ValueError(f"samples_per_unit must be positive and finite, got {samples_per_unit!r}")
     a, b = domain
     return np.linspace(a, b, max(2, int(round((b - a) * samples_per_unit)) + 1))
 
@@ -137,6 +141,22 @@ def tangent_heights(f: SampledFunction, slope: float) -> list[float]:
     return [h * scale for h in critical_heights(directional_diagram(pl_proxy(f), v))]
 
 
+def _window(heights: np.ndarray, t, m: float, lo, hi):
+    """(owner, index) of each sorted height h whose crossing (t - h) / m with
+    y = t may lie strictly between lo and hi, for each owner element of the
+    broadcast t, lo, hi. An owner's heights are one range, as the crossing is
+    monotone in h in floating point too; its ends are widened by 4 eps times
+    the operands' size, more than the rounding of the crossing and of the
+    bounds, and the caller tests the range exactly."""
+    top = [np.abs(v).max(initial=0.0) for v in (t, heights, lo, hi)]
+    slack = 4 * np.finfo(float).eps * (top[0] + top[1] + abs(m) * max(top[2], top[3]))
+    a, b = np.ravel(t - m * lo), np.ravel(t - m * hi)
+    start = np.searchsorted(heights, np.minimum(a, b) - slack)
+    n = np.searchsorted(heights, np.maximum(a, b) + slack, side="right") - start
+    owner = np.repeat(np.arange(n.size), n)
+    return owner, np.arange(owner.size) + np.repeat(start - np.cumsum(n) + n, n)
+
+
 def detect_triangles(
     t_heights: list[float], s_heights: list[float], r_heights: list[float], m: float, tau: float
 ) -> np.ndarray:
@@ -144,19 +164,27 @@ def detect_triangles(
     whose crossings with y = t, xr of y = -m*x + r and xs of y = m*x + s, are
     distinct and under tau apart; x1 < x2 are the two crossings in order.
 
+    Each (t, r) pair meets only the window of sorted s heights (`_window`)
+    that can pass the exact test xr - tau < xs < xr + tau, xs != xr. The
+    pairs go in blocks of about `BLOCK`; a stable sort keeps equal s heights,
+    and so rows that tie on all five values, in their input order.
+
     Deliberately greedy: every narrow triple is kept as a candidate, false
     positives included; the shallow-pair filter removes them later.
     """
-    t, s, r = (np.asarray(h, dtype=float) for h in (t_heights, s_heights, r_heights))
+    t, r = (np.asarray(h, dtype=float) for h in (t_heights, r_heights))
+    s = np.sort(np.asarray(s_heights, dtype=float), kind="stable")
     rows = [np.empty((0, 5))]
-    step = max(1, BLOCK // max(1, len(r) * len(s)))
+    step = max(1, BLOCK // max(1, len(r)))
     for lo in range(0, len(t), step):
-        tb = t[lo:lo + step, None, None]
-        xr = (tb - r[:, None]) / -m
-        xs = (tb - s) / m
-        q, i, j = np.nonzero((xr - tau < xs) & (xs < xr + tau) & (xs != xr))
-        a, b = xr[q, i, 0], xs[q, 0, j]
-        rows.append(np.column_stack((t[lo + q], r[i], s[j], np.minimum(a, b), np.maximum(a, b))))
+        tb = t[lo:lo + step, None]
+        xr = (tb - r) / -m
+        p, j = _window(s, tb, m, xr - tau, xr + tau)
+        q, i = np.divmod(p, len(r))
+        a, b = xr.ravel()[p], (t[lo + q] - s[j]) / m
+        keep = np.flatnonzero((a - tau < b) & (b < a + tau) & (b != a))
+        a, b, q = a[keep], b[keep], lo + q[keep]
+        rows.append(np.column_stack((t[q], r[i[keep]], s[j[keep]], np.minimum(a, b), np.maximum(a, b))))
     rows = np.concatenate(rows)
     return rows[np.lexsort(rows[:, [2, 1, 4, 3, 0]].T)]
 
@@ -178,43 +206,33 @@ def filter_and_locate(triangles: np.ndarray, f: SampledFunction, cfg: SmoothConf
     and locate the enclosed critical points.
 
     A pair (rr, ss) of shallow heights brackets a row when both its crossings
-    with y = t lie strictly inside (x1, x2). Each pair goes to the first row,
-    in (row, ss, rr) order, that brackets it, and is used up there, even when
-    its estimate then falls outside the domain: quasi-multiple tangents give
-    adjacent duplicates of one critical point, and the shallow pair is what
-    fixes it. A row can take several pairs, and each gives its own point.
-    The estimates are computed in that order, so the first vanishing
-    denominator in it is the one `DegenerateEstimator` reports.
+    with y = t lie strictly inside (x1, x2). A row meets only the ss heights
+    in its window (`_window`), and each of those only the rr heights in
+    theirs, in (row, ss, rr) order; the exact test keeps the pairs that
+    bracket. Each pair goes to the first row that brackets it, and is used up
+    there, even when its estimate then falls outside the domain:
+    quasi-multiple tangents give adjacent duplicates of one critical point,
+    and the shallow pair is what fixes it. A row can take several pairs, and
+    each gives its own point. The estimates are computed in that order, so
+    the first vanishing denominator in it is the one `DegenerateEstimator`
+    reports.
     """
     m1, m2 = cfg.m1, cfg.m2
     # a pair is two height values: a height listed twice is one line
     rr = np.unique(tangent_heights(f, -m2))
     ss = np.unique(tangent_heights(f, m2))
     rows = np.reshape(triangles, (-1, 5))
-    t, x1, x2 = rows[:, [0]], rows[:, [3]], rows[:, [4]]
-    taken = np.zeros((len(ss), len(rr)), dtype=bool)
-    picks = [(np.zeros(0, dtype=int),) * 3]
-    step = max(1, BLOCK // max(1, len(ss) + len(rr)))
-    for lo in range(0, len(rows), step):
-        blk = slice(lo, lo + step)
-        x3 = (t[blk] - rr) / -m2
-        x4 = (t[blk] - ss) / m2
-        in3 = (x1[blk] < x3) & (x3 < x2[blk])
-        in4 = (x1[blk] < x4) & (x4 < x2[blk])
-        # most rows bracket nothing, so only the rows and heights that do
-        # enter the (row, ss, rr) mask
-        k = np.flatnonzero(in3.any(axis=1) & in4.any(axis=1))
-        if not k.size:
-            continue
-        i, j = np.flatnonzero(in3[k].any(axis=0)), np.flatnonzero(in4[k].any(axis=0))
-        hit = in4[np.ix_(k, j)][:, :, None] & in3[np.ix_(k, i)][:, None, :] & ~taken[np.ix_(j, i)]
-        jj, ii = np.nonzero(hit.any(axis=0))
-        picks.append((lo + k[hit.argmax(axis=0)[jj, ii]], j[jj], i[ii]))
-        taken[j[jj], i[ii]] = True
-    k, j, i = (np.concatenate(p) for p in zip(*picks))
-    order = np.lexsort((i, j, k))
-    t, r, s, x1, x2 = rows[k[order]].T
-    x3, x4 = (t - rr[i[order]]) / -m2, (t - ss[j[order]]) / m2
+    t, x1, x2 = rows[:, 0], rows[:, 3], rows[:, 4]
+    k, j = _window(ss, t, m2, x1, x2)
+    p, i = _window(rr, t[k], -m2, x1[k], x2[k])
+    k, j = k[p], j[p]
+    x3, x4 = (t[k] - rr[i]) / -m2, (t[k] - ss[j]) / m2
+    hit = np.flatnonzero((x1[k] < x3) & (x3 < x2[k]) & (x1[k] < x4) & (x4 < x2[k]))
+    # the first row of each pair, back in (row, ss, rr) order
+    first = np.unique(j[hit] * len(rr) + i[hit], return_index=True)[1]
+    pick = hit[np.sort(first)]
+    x3, x4 = x3[pick], x4[pick]
+    t, r, s, x1, x2 = rows[k[pick]].T
     # min and max as Python's builtins take them, signed zeros included
     x_est = compute_x(x1, x2, np.where(x4 < x3, x4, x3), np.where(x4 > x3, x4, x3), m1, m2)
     (a, b), dx = f.domain, f.step

@@ -48,7 +48,7 @@ def extrema_by_scan(h):
     """Endpoints and strict local extrema of a sequence by a plain scan, each
     run of equal values counted once at its first index."""
     runs = [i for i in range(len(h)) if i == 0 or h[i] != h[i - 1]]
-    if len(runs) == 1:
+    if len(runs) <= 1:
         return runs
     inner = [b for a, b, c in zip(runs, runs[1:], runs[2:]) if (h[b] > h[a]) != (h[c] > h[b])]
     return [runs[0], *inner, runs[-1]]

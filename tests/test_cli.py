@@ -209,6 +209,24 @@ def test_malformed_pair_exits_2_with_usage(argv, capsys):
     assert err.startswith("usage:") and "expected 'a,b'" in err
 
 
+@pytest.mark.parametrize("value", ["0", "-5", "nan", "inf"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "harmonic", "--seed", 1],
+        ["gen", "spline", "--seed", 1],
+        ["reconstruct-landscapes", "--in-landscapes", "l", "--in-function", "f"],
+    ],
+    ids=["gen-harmonic", "gen-spline", "reconstruct-landscapes"],
+)
+def test_bad_samples_per_unit_exits_2_with_usage(argv, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--samples-per-unit", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "expected a positive finite number" in err
+
+
 def test_closed_stdout_exits_quietly():
     # the output (about 0.5 MB) outgrows the pipe buffer, so the write meets
     # the closed pipe inside the command, not only at the final flush

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -178,6 +179,20 @@ def test_extremal_indices_match_scan_oracle(values):
     assert extremal_indices(h).tolist() == extrema_by_scan(values)
     got = extremal_points(np.arange(len(values)), h)
     assert [(p.x, p.y, p.kind.value) for p in got] == [(i, values[i], k) for i, k in kinds_by_scan(values)]
+
+
+def test_extremal_rules_equal_the_scans_on_every_short_sequence():
+    # all 3 280 sequences of length 0-7 over {0, 1, 2}: plateaus, flat ends
+    # and constant runs, independent of any draw
+    count = 0
+    for n in range(8):
+        for values in itertools.product((0, 1, 2), repeat=n):
+            h = np.array(values, dtype=float)
+            assert extremal_indices(h).tolist() == extrema_by_scan(values), values
+            got = extremal_points(np.arange(n), h)
+            assert [(p.x, p.y, p.kind.value) for p in got] == [(i, values[i], k) for i, k in kinds_by_scan(values)]
+            count += 1
+    assert count == 3280
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from persrec.reconstruct_smooth import (
     five_line_reconstruct,
     pl_proxy,
     tangent_heights,
+    uniform_grid,
 )
 
 from oracles import locate_by_scan, triangles_by_scan
@@ -47,6 +48,12 @@ def test_config_defaults_and_validation():
 def test_config_rejects_a_tau_that_is_not_positive_and_finite(tau):
     with pytest.raises(ValueError, match="tau"):
         SmoothConfig(tau=tau)
+
+
+@pytest.mark.parametrize("spu", [0.0, -5.0, math.nan, math.inf])
+def test_uniform_grid_rejects_samples_per_unit_that_is_not_positive_and_finite(spu):
+    with pytest.raises(ValueError, match="samples_per_unit"):
+        uniform_grid((0.0, 1.0), spu)
 
 
 def test_sampled_function_requires_uniform_grid():
@@ -230,6 +237,33 @@ def test_rounding_ties_sort_by_r_then_s():
     assert rows.tolist() == [list(row) for row in triangles_by_scan([1.0], [4e-17, 3e-17], [2e-17, 1e-17], 1.0, 3.0)]
 
 
+def assert_rows_equal_the_scan(t, s, r, m, tau):
+    rows = detect_triangles(t, s, r, m, tau)
+    assert rows.tolist() == [list(row) for row in triangles_by_scan(t, s, r, m, tau)]
+    return rows
+
+
+def test_crossings_exactly_tau_from_xr_or_on_it_are_not_triangles():
+    # at t = 0 with m = 1, xr = r = 0.5 and xs = -s; the window is (0.25, 0.75)
+    # exactly, and xs one ulp inside either end still counts
+    inside = [-np.nextafter(0.25, 1.0), -np.nextafter(0.75, 0.0)]
+    rows = assert_rows_equal_the_scan([0.0], [-0.25, -0.75, -0.5, -0.375, *inside], [0.5], 1.0, 0.25)
+    assert rows[:, 2].tolist() == [inside[0], -0.375, inside[1]]
+
+
+def test_unsorted_and_repeated_s_heights():
+    s = [0.3, -0.1, 0.3, -0.2, -0.1, 0.05, -0.2, 0.3]
+    rows = assert_rows_equal_the_scan([0.0, 0.1, -0.1, 0.1], s, [0.2, -0.05, 0.2, 0.0], 1.0, 0.3)
+    assert len(rows) > len(set(map(tuple, rows.tolist())))
+
+
+def test_a_negative_slope_swaps_the_families():
+    t, s, r = [0.0, 0.25, -0.5], [-0.3, 0.1, 0.6, -0.05], [0.2, -0.4, 0.5]
+    rows = assert_rows_equal_the_scan(t, s, r, -1.0, 0.5)
+    assert len(rows) and (rows[:, 3] < rows[:, 4]).all()
+    assert_rows_equal_the_scan(t, s, r, -0.577, 0.25)
+
+
 def stand_in_shallow_heights(monkeypatch, cfg, rr, ss):
     heights = {-cfg.m2: rr, cfg.m2: ss}
     monkeypatch.setattr(smooth, "tangent_heights", lambda f, slope: heights[slope])
@@ -252,6 +286,23 @@ def test_the_first_vanishing_denominator_in_row_ss_rr_order_raises(monkeypatch):
     assert len(filter_and_locate(rows, f, cfg)) == 1
 
 
+def test_an_earlier_row_raises_before_a_lower_pair_of_a_later_row(monkeypatch):
+    # both rows have the base (1, 1 + 1e-13) and bracket one degenerate pair
+    # each: the first row the higher (ss, rr), the second the lower one
+    f = sampled(lambda x: x * x, (-1.0, 1.0), spu=1000.0)
+    cfg = SmoothConfig(tau=0.5, steep_deg=60.0, shallow_deg=45.0)
+    stand_in_shallow_heights(monkeypatch, cfg, [5e-14, 1.0 + 3e-14], [-2.0 - 2e-14, -1.0 - 7e-14])
+    rows = [(0.0, 0.0, 0.0, 1.0, 1.0 + 1e-13), (-1.0, 0.0, 0.0, 1.0, 1.0 + 1e-13)]
+    messages = []
+    for t, rr, ss in ((0.0, 1.0 + 3e-14, -1.0 - 7e-14), (-1.0, 5e-14, -2.0 - 2e-14)):
+        x3, x4 = (t - rr) / -cfg.m2, (t - ss) / cfg.m2
+        with pytest.raises(DegenerateEstimator) as exc:
+            compute_x(1.0, 1.0 + 1e-13, min(x3, x4), max(x3, x4), cfg.m1, cfg.m2)
+        messages.append(str(exc.value))
+    assert messages[0] != messages[1]
+    assert scan_or_raise(filter_and_locate, rows, f, cfg) == messages[0] == scan_or_raise(locate_by_scan, rows, f, cfg)
+
+
 def test_a_shallow_height_listed_twice_is_one_line(monkeypatch):
     f = sampled(lambda x: x * x, (-1.0, 1.0), spu=1000.0)
     cfg = SmoothConfig(tau=0.5, steep_deg=60.0, shallow_deg=45.0)
@@ -259,6 +310,42 @@ def test_a_shallow_height_listed_twice_is_one_line(monkeypatch):
     rows = [(0.0, 0.0, 0.0, -0.3, 0.3)]
     assert len(filter_and_locate(rows, f, cfg)) == 1
     assert filter_and_locate(rows, f, cfg) == locate_by_scan(rows, f, cfg)
+
+
+def test_a_shallow_crossing_exactly_on_the_base_is_not_inside(monkeypatch):
+    # at t = 0 the shallow crossings are about -0.25 (rr) and 0.25 (ss); a
+    # base end on either crossing leaves the pair out, one ulp outside it
+    # takes the pair in
+    f = sampled(lambda x: x * x, (-1.0, 1.0), spu=1000.0)
+    cfg = SmoothConfig(tau=0.5, steep_deg=60.0, shallow_deg=45.0)
+    stand_in_shallow_heights(monkeypatch, cfg, [-0.25], [-0.25])
+    x3, x4 = 0.25 / -cfg.m2, 0.25 / cfg.m2
+    for x1, x2, found in (
+        (x3, 0.3, 0),
+        (-0.3, x4, 0),
+        (np.nextafter(x3, -1.0), 0.3, 1),
+        (-0.3, np.nextafter(x4, 1.0), 1),
+    ):
+        rows = [(0.0, 0.0, 0.0, x1, x2)]
+        points = filter_and_locate(rows, f, cfg)
+        assert len(points) == found
+        assert points == locate_by_scan(rows, f, cfg)
+
+
+def test_a_crossing_one_ulp_inside_a_bound_is_in_the_window(monkeypatch):
+    # solving the bound for the height rounds past these heights, so the
+    # window finds them only through its slack
+    t, s, r, m, tau = -0.24348000509965395, 0.3243464488513091, -0.5713064590506169, 3.0, 0.08
+    assert (t - s) / m == np.nextafter((t - r) / -m - tau, 1.0)
+    assert len(assert_rows_equal_the_scan([t], [s], [r], m, tau)) == 1
+    f = sampled(lambda x: x * x, (-1.0, 1.0), spu=1000.0)
+    cfg = SmoothConfig(tau=0.5, steep_deg=60.0, shallow_deg=30.0)
+    t, rr = 0.40048811556914976, -0.09978503053152081
+    stand_in_shallow_heights(monkeypatch, cfg, [rr], [t + 0.7 * cfg.m2])
+    rows = [(t, 0.0, 0.0, -0.8664985067086894, -0.5664985067086894)]
+    assert (t - rr) / -cfg.m2 == np.nextafter(rows[0][3], 0.0)
+    (point,) = filter_and_locate(rows, f, cfg)
+    assert [point] == locate_by_scan(rows, f, cfg)
 
 
 def test_one_candidate_takes_two_shallow_pairs():
@@ -289,15 +376,17 @@ def test_a_pair_used_outside_the_domain_is_denied_to_later_candidates():
 
 def test_a_dense_signal_stays_small_in_traced_memory():
     # 201 heights per family and about 8 400 candidate rows: both steps
-    # without blocks traced 32.7 MB
-    f = sampled(lambda x: np.sin(2 * np.pi * 100 * x + 0.3) + 0.2 * np.sin(2 * np.pi * 3.1 * x), (0.0, 1.0), spu=20_000.0)
-    tracemalloc.start()
-    try:
-        five_line_reconstruct(f, SmoothConfig(tau=0.004))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4_000_000
+    # without blocks traced 32.7 MB. 401 heights per family and about 33 600
+    # rows trace 3.0 MB: the windows add no memory to the blocks
+    for freq, spu, tau in ((100, 20_000.0, 0.004), (200, 40_000.0, 0.002)):
+        f = sampled(lambda x: np.sin(2 * np.pi * freq * x + 0.3) + 0.2 * np.sin(2 * np.pi * 3.1 * x), (0.0, 1.0), spu=spu)
+        tracemalloc.start()
+        try:
+            five_line_reconstruct(f, SmoothConfig(tau=tau))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000, (freq, peak)
 
 
 # ---------------------------------------------------------------------------
