@@ -12,7 +12,6 @@ from .persistence import (
     critical_heights,
     critical_points,
     directional_diagram,
-    interior_critical_points,
     is_admissible,
 )
 from .landscape import (
@@ -25,7 +24,6 @@ from .landscape import (
 from .reconstruct_pl import (
     TripleConfig,
     count_comparisons,
-    naive_reconstruct,
     rolling_ball_reconstruct,
 )
 from .reconstruct_smooth import (

@@ -27,7 +27,7 @@ from .persistence import (
     directional_diagram,
     is_admissible,
 )
-from .reconstruct_pl import TripleConfig, naive_reconstruct, rolling_ball_reconstruct
+from .reconstruct_pl import TripleConfig, rolling_ball_reconstruct
 from .reconstruct_smooth import SampledFunction, SmoothConfig, five_line_reconstruct, pl_proxy
 
 
@@ -154,8 +154,7 @@ def cmd_reconstruct_pl(args) -> int:
         Point2(*args.end),
         args.match_tol,
     )
-    algorithm = naive_reconstruct if args.algorithm == "naive" else rolling_ball_reconstruct
-    points = algorithm(
+    points = rolling_ball_reconstruct(
         critical_heights(d_t), critical_heights(d_s), critical_heights(d_r), cfg
     )
     _write_json({"vertices": [[p.x, p.y] for p in points]}, args.out)
@@ -279,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     rp.add_argument("--in-r", required=True, help="diagram for the shallowest direction (e.g. 80 deg)")
     rp.add_argument("--start", type=_parse_pair, required=True, help="x,y of the left boundary point")
     rp.add_argument("--end", type=_parse_pair, required=True, help="x,y of the right boundary point")
-    rp.add_argument("--algorithm", choices=("rolling", "naive"), default="rolling")
     rp.add_argument("--match-tol", type=float, default=TripleConfig.match_tol)
     rp.add_argument("--strict", action="store_true")
     rp.add_argument("--out")

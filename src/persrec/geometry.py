@@ -7,9 +7,9 @@ is t. For theta != pi/2 its slope is -1/tan(theta); for theta = pi/2 it is the
 horizontal line y = t.
 
 `intersect` is the closed form for the crossing of two such lines, and the
-only one in the package: both triple searches in `reconstruct_pl` call it.
-Its heights broadcast as numpy arrays, so one call meets a line with a whole
-family of parallel ones, or a block of lines with another family.
+only one in the package: the rolling-ball sweep in `reconstruct_pl` calls it.
+Its heights broadcast as numpy arrays, so one call meets a block of lines
+with a whole family of parallel ones.
 """
 
 from __future__ import annotations

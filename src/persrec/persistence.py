@@ -156,10 +156,6 @@ def critical_points(f: PLFunction) -> list[CriticalPoint]:
     return extremal_points(f.xs, f.ys)
 
 
-def interior_critical_points(f: PLFunction) -> list[CriticalPoint]:
-    return [c for c in critical_points(f) if c.kind is not CriticalKind.ENDPOINT]
-
-
 def is_admissible(f: PLFunction, v: Angle) -> bool:
     """True when lines orthogonal to v never cross the graph transversally at
     an interior critical point.

@@ -2,33 +2,32 @@
 
 Critical lines from three admissible directions meet, three at a time, exactly
 at the critical points of the function (boundary points excepted, which is why
-the caller supplies start and end). `naive_reconstruct` tries every (t, s, r)
-triple in O(n^3), per T-line meeting all S- and R-lines at once.
+the caller supplies start and end).
 
-`rolling_ball_reconstruct` is the paper's rolling-ball search. With the
-T-heights sorted decreasing and the R-heights increasing, the T- and the
-R-crossings along one S-line both run left to right. A two-pointer merge of
-the two rows discards the crossing further left at each comparison (a tie
-discards the T-crossing) and stops at the first coincidence within match_tol
-inside the x window, so it needs at most 2n log n + 2n^2 comparisons. Here the
-merge runs on arrays: for a block of S-lines, `geometry.intersect` (the one
-crossing formula) gives both rows, a stable merge gives c[i], the number of
-T-crossings at or left of R-crossing i, and R_i meets T_j exactly for j in
-[c[i-1], c[i]]. Only pairs closer than match_tol in x are tested, with the
-same floats as a pair-by-pair merge. The comparison count is read off the
-stop: i + j + 1 at a coincidence (i, j), n_r + c[n_r-1] when the R-lines run
-out, and n_t + i when the T-lines run out while R_i is current. An
-out-of-window coincidence discards its R-line early, and only a line with one
-of those walks its coincidences one by one.
+`rolling_ball_reconstruct` is the paper's rolling-ball search, and the one
+triple search here. With the T-heights sorted decreasing and the R-heights
+increasing, the T- and the R-crossings along one S-line both run left to
+right. A two-pointer merge of the two rows discards the crossing further left
+at each comparison (a tie discards the T-crossing) and stops at the first
+coincidence within match_tol inside the x window, so it needs at most
+2n log n + 2n^2 comparisons. Here the merge runs on arrays: for a block of
+S-lines, `geometry.intersect` (the one crossing formula) gives both rows, a
+stable merge gives c[i], the number of T-crossings at or left of R-crossing
+i, and R_i meets T_j exactly for j in [c[i-1], c[i]]. Only pairs closer than
+match_tol in x are tested, with the same floats as a pair-by-pair merge. The
+comparison count is read off the stop: i + j + 1 at a coincidence (i, j),
+n_r + c[n_r-1] when the R-lines run out, and n_t + i when the T-lines run out
+while R_i is current. An out-of-window coincidence discards its R-line early,
+and only a line with one of those walks its coincidences one by one.
 
 The sweep works on blocks of about `BLOCK` crossings, so its working set
 stays flat in n. One pass over every S-line at once holds a few n x n arrays:
 at n = 400 that traced 13.2 MB against 0.41 MB in blocks, and it raised the
 pl-triple benchmark's peak RSS from about 80 to 94 MB.
 
-Both searches report a point found twice, or within match_tol of a boundary
-point, once: a sort by x, and among x-neighbours closer than match_tol, the
-boundary points first and then the one found first.
+The search reports a point within match_tol of a boundary point, or of
+another point found, once: a sort by x, and among x-neighbours closer than
+match_tol, the boundary points first and then the one found first.
 """
 
 from __future__ import annotations
@@ -96,12 +95,13 @@ class TripleConfig:
         return lo - self.match_tol, hi + self.match_tol
 
 
-def _merge_points(found: list[np.ndarray], cfg: TripleConfig) -> list[Point2]:
-    """Sorts the (x, y) rows of `found`, given in the order found with start
-    and end first, and drops each point within match_tol of one kept before
-    it. Only neighbours in x closer than match_tol can be that close, so a
-    run of them is the only place where the order found is consulted."""
-    pts = np.concatenate([[(cfg.start.x, cfg.start.y), (cfg.end.x, cfg.end.y)], *found])
+def _merge_points(found: np.ndarray, cfg: TripleConfig) -> list[Point2]:
+    """Sorts start, end and the (x, y) rows of `found`, the points the sweep
+    found in S order, by (x, y), and drops each point within match_tol of one
+    kept before it in the order start, end, `found`. Only neighbours in x
+    closer than match_tol can be that close, so a run of them is the only
+    place where that order is consulted."""
+    pts = np.concatenate([[(cfg.start.x, cfg.start.y), (cfg.end.x, cfg.end.y)], found])
     order = np.lexsort((pts[:, 1], pts[:, 0]))
     close = np.flatnonzero(np.diff(pts[order, 0]) < cfg.match_tol)
     if close.size:
@@ -124,46 +124,16 @@ def _merge_points(found: list[np.ndarray], cfg: TripleConfig) -> list[Point2]:
 
 
 def _sorted(values: Sequence[float], reverse: bool, counter: OpCounter | None) -> np.ndarray:
+    key = None
     if counter is not None:
 
         def cmp(a: float, b: float) -> int:
             counter.tick()
             return (a > b) - (a < b)
 
-        return np.array(sorted(values, key=cmp_to_key(cmp), reverse=reverse), dtype=float)
-    a = np.asarray(values, dtype=float)
-    # negated rather than reversed, so equal values keep their order as in `sorted`
-    return -np.sort(-a, kind="stable") if reverse else np.sort(a, kind="stable")
-
-
-def naive_reconstruct(
-    t_heights: Sequence[float],
-    s_heights: Sequence[float],
-    r_heights: Sequence[float],
-    cfg: TripleConfig,
-    counter: OpCounter | None = None,
-) -> list[Point2]:
-    """Exhaustive triple search: every (t, s, r) whose pairwise intersections
-    coincide within match_tol yields one point. Start and end are always
-    included; output is sorted by x."""
-    ss = np.asarray(s_heights, dtype=float)[:, None]
-    rs = np.asarray(r_heights, dtype=float)
-    tol2 = cfg.match_tol * cfg.match_tol
-
-    x_lo, x_hi = cfg.x_window
-    found = []
-    for t in t_heights:
-        if counter is not None:
-            counter.tick(ss.size * rs.size)
-        # rows follow S, columns R: the T-line's crossings with every S-line
-        # against its crossings with every R-line
-        x_ts, y_ts = intersect(cfg.theta0, t, cfg.theta1, ss)
-        x_tr, y_tr = intersect(cfg.theta0, t, cfg.theta2, rs)
-        dx, dy = x_ts - x_tr, y_ts - y_tr
-        hit = (dx * dx + dy * dy < tol2) & (x_lo <= x_tr) & (x_tr <= x_hi)
-        j = np.nonzero(hit)[1]
-        found.append(np.column_stack((x_tr[j], y_tr[j])))
-    return _merge_points(found, cfg)
+        key = cmp_to_key(cmp)
+    # Timsort makes the same comparisons with or without the key
+    return np.array(sorted(values, key=key, reverse=reverse), dtype=float)
 
 
 def _block(ss: np.ndarray, lo: int, ts: np.ndarray, rs: np.ndarray, cfg: TripleConfig):
@@ -262,7 +232,7 @@ def rolling_ball_reconstruct(
     cfg: TripleConfig,
     counter: OpCounter | None = None,
 ) -> list[Point2]:
-    """Rolling-ball triple search, equivalent to the naive one on generic input.
+    """Rolling-ball triple search.
 
     Per S-line it stops at the first triple the merge meets, which is exact
     when no critical line carries two triple points. Start and end are always
@@ -272,12 +242,11 @@ def rolling_ball_reconstruct(
     ts = _sorted(t_heights, True, counter)
     ss = _sorted(s_heights, False, counter)
     rs = _sorted(r_heights, False, counter)
-    found = []
+    found = np.empty((0, 2))
     if len(ts) and len(ss) and len(rs):
-        steps, points = _sweep(ss, ts, rs, cfg)
+        steps, found = _sweep(ss, ts, rs, cfg)
         if counter is not None:
             counter.tick(steps)
-        found.append(points)
     return _merge_points(found, cfg)
 
 

@@ -89,6 +89,8 @@ class SampledFunction:
         ys = np.asarray(ys, dtype=float)
         if xs.ndim != 1 or xs.shape != ys.shape or len(xs) < 2:
             raise ValueError("need equal-length 1-d arrays with at least 2 samples")
+        if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+            raise ValueError("samples must be finite")
         steps = np.diff(xs)
         if not (steps > 0).all():
             raise ValueError("grid must be strictly increasing")

@@ -58,22 +58,29 @@ def test_full_pl_pipeline_round_trip(tmp_path):
         assert run(["diagram", "--in", f, "--angle-deg", deg, "--out", tmp_path / f"d{deg}.json"]) == 0
     func = read_json(f)
     (x0, y0), (x1, y1) = func["vertices"][0], func["vertices"][-1]
-    for algorithm in ("rolling", "naive"):
-        rec = tmp_path / f"rec-{algorithm}.json"
-        assert run([
-            "reconstruct-pl",
-            "--in-t", tmp_path / "d90.json",
-            "--in-s", tmp_path / "d85.json",
-            "--in-r", tmp_path / "d80.json",
-            "--start", f"{x0},{y0}",
-            "--end", f"{x1},{y1}",
-            "--algorithm", algorithm,
-            "--out", rec,
-        ]) == 0
-        rep = tmp_path / f"rep-{algorithm}.json"
-        assert run(["verify", "--points", rec, "--truth", tmp_path / "f.truth.json", "--tol", 1e-6, "--out", rep]) == 0
-        report = read_json(rep)
-        assert report["ok"] and report["matched"] == 12
+    rec, rep = tmp_path / "rec.json", tmp_path / "rep.json"
+    assert run([
+        "reconstruct-pl",
+        "--in-t", tmp_path / "d90.json",
+        "--in-s", tmp_path / "d85.json",
+        "--in-r", tmp_path / "d80.json",
+        "--start", f"{x0},{y0}",
+        "--end", f"{x1},{y1}",
+        "--out", rec,
+    ]) == 0
+    assert run(["verify", "--points", rec, "--truth", tmp_path / "f.truth.json", "--tol", 1e-6, "--out", rep]) == 0
+    report = read_json(rep)
+    assert report["ok"] and report["matched"] == 12
+
+
+def test_reconstruct_pl_has_no_algorithm_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run([
+            "reconstruct-pl", "--in-t", "t", "--in-s", "s", "--in-r", "r",
+            "--start", "0,0", "--end", "1,0", "--algorithm", "naive",
+        ])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --algorithm naive" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf"])
@@ -145,6 +152,19 @@ def test_landscape_and_reconstruct_landscapes_round_trip(tmp_path):
         assert any(
             abs(p["x"] - c["x"]) < 1e-9 and p["kind"] == c["kind"] for p in got
         ), c
+
+
+def test_reconstruct_landscapes_rejects_a_nan_sample(tmp_path, capsys):
+    (tmp_path / "l.json").write_text(json.dumps([{"level": 1, "vertices": [[0.0, 0.0], [0.5, 0.5], [1.0, 0.0]]}]))
+    # json writes a NaN sample as the bare token NaN, which json reads back
+    (tmp_path / "f.json").write_text(json.dumps({"xs": [0.0, 0.25, 0.5, 0.75, 1.0], "ys": [0.0, 1.0, math.nan, 1.0, 0.0]}))
+    assert run([
+        "reconstruct-landscapes",
+        "--in-landscapes", tmp_path / "l.json",
+        "--in-function", tmp_path / "f.json",
+    ]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "finite" in err
 
 
 def test_reconstruct_smooth_cli(tmp_path):

@@ -1,8 +1,15 @@
 import math
+import os
+import re
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import persrec
 from persrec.generators import (
     GenerationExhausted,
     NaturalCubicSpline,
@@ -11,7 +18,7 @@ from persrec.generators import (
     gen_spline,
 )
 from persrec.geometry import Angle
-from persrec.persistence import CriticalKind, interior_critical_points, is_admissible
+from persrec.persistence import CriticalKind, critical_points, is_admissible
 
 
 # ---------------------------------------------------------------------------
@@ -21,7 +28,7 @@ from persrec.persistence import CriticalKind, interior_critical_points, is_admis
 def test_gen_pl_produces_requested_count(n):
     f, truth = gen_pl(n, seed=42)
     assert len(truth) == n
-    assert len(interior_critical_points(f)) == n
+    assert len(critical_points(f)[1:-1]) == n
 
 
 def test_gen_pl_truth_is_sorted_and_alternating():
@@ -30,7 +37,7 @@ def test_gen_pl_truth_is_sorted_and_alternating():
     assert xs == sorted(xs)
     for a, b in zip(truth, truth[1:]):
         assert a.kind != b.kind
-    got = [(c.x, c.y, c.kind) for c in interior_critical_points(f)]
+    got = [(c.x, c.y, c.kind) for c in critical_points(f)[1:-1]]
     assert got == [(c.x, c.y, c.kind) for c in truth]
 
 
@@ -171,3 +178,30 @@ def test_gen_spline_is_deterministic():
     assert np.array_equal(f1.ys, f2.ys)
     assert t1 == t2
 
+
+def test_gen_spline_warns_of_a_critical_pair_closer_than_one_sample_step():
+    # this pair is 0.49 steps apart at 2 000 samples per unit
+    with pytest.warns(UserWarning, match=r"0\.49 sample steps apart; samples_per_unit=\d+ ") as record:
+        gen_spline(258811, knots=46, samples_per_unit=2000.0)
+    named = float(re.search(r"samples_per_unit=(\d+)", str(record[0].message)).group(1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f, truth = gen_spline(258811, knots=46, samples_per_unit=named)
+    assert np.diff([c.x for c in truth]).min() >= f.step
+
+
+def test_gen_spline_is_quiet_on_the_landscape_benchmark_panel():
+    # perfbench's landscape-decode inputs; the closest pair there, at
+    # (61, 23), is 1.67 steps apart
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in range(30):
+            gen_spline(seed, knots=56 + seed % 9, samples_per_unit=2000.0)
+
+
+def test_importing_the_package_leaves_scipy_unloaded():
+    # only gen_harmonic needs scipy, and it imports it on its first call
+    env = dict(os.environ, PYTHONPATH=str(Path(persrec.__file__).parents[1]))
+    code = "import sys, persrec; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

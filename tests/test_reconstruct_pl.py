@@ -11,7 +11,6 @@ from persrec.reconstruct_pl import (
     OpCounter,
     TripleConfig,
     count_comparisons,
-    naive_reconstruct,
     rolling_ball_reconstruct,
 )
 
@@ -71,7 +70,6 @@ def test_worked_example_round_trip():
     cfg = default_cfg(f)
     t, s, r = heights_for(f, cfg)
     expected = [(0.0, 2.5), (0.5, 4.0), (2.0, 0.5), (4.0, 2.5)]
-    assert_points_match(naive_reconstruct(t, s, r, cfg), expected)
     assert_points_match(rolling_ball_reconstruct(t, s, r, cfg), expected)
 
 
@@ -81,14 +79,12 @@ def test_single_segment_yields_boundary_points_only():
     f = PLFunction([0.0, 1.0], [0.0, 1.0])
     cfg = default_cfg(f)
     t, s, r = heights_for(f, cfg)
-    assert_points_match(naive_reconstruct(t, s, r, cfg), [(0.0, 0.0), (1.0, 1.0)])
     assert_points_match(rolling_ball_reconstruct(t, s, r, cfg), [(0.0, 0.0), (1.0, 1.0)])
 
 
 def test_empty_s_family_returns_boundaries():
     cfg = TripleConfig.default(Point2(0.0, 0.5), Point2(1.0, 0.25))
-    for algorithm in (naive_reconstruct, rolling_ball_reconstruct):
-        assert_points_match(algorithm([0.1, 0.2], [], [0.3], cfg), [(0.0, 0.5), (1.0, 0.25)])
+    assert_points_match(rolling_ball_reconstruct([0.1, 0.2], [], [0.3], cfg), [(0.0, 0.5), (1.0, 0.25)])
 
 
 def test_out_of_window_coincidence_is_discarded():
@@ -98,7 +94,6 @@ def test_out_of_window_coincidence_is_discarded():
     t = [px * math.cos(cfg.theta0.theta) + py * math.sin(cfg.theta0.theta)]
     s = [px * math.cos(cfg.theta1.theta) + py * math.sin(cfg.theta1.theta)]
     r = [px * math.cos(cfg.theta2.theta) + py * math.sin(cfg.theta2.theta)]
-    assert_points_match(naive_reconstruct(t, s, r, cfg), [(0.0, 0.0), (1.0, 1.0)])
     assert_points_match(rolling_ball_reconstruct(t, s, r, cfg), [(0.0, 0.0), (1.0, 1.0)])
 
 
@@ -113,13 +108,11 @@ def test_seeded_round_trip_n25():
 
 
 @pytest.mark.parametrize("n,seed", [(2, 0), (7, 3), (20, 11), (50, 5)])
-def test_naive_equals_rolling_ball(n, seed):
-    f, _ = gen_pl(n, seed=seed)
+def test_rolling_ball_finds_the_generator_truth(n, seed):
+    f, truth = gen_pl(n, seed=seed)
     cfg = default_cfg(f)
-    t, s, r = heights_for(f, cfg)
-    a = naive_reconstruct(t, s, r, cfg)
-    b = rolling_ball_reconstruct(t, s, r, cfg)
-    assert_points_match(a, [(p.x, p.y) for p in b], tol=1e-6)
+    pts = rolling_ball_reconstruct(*heights_for(f, cfg), cfg)
+    assert_points_match(pts, expected_for(f, truth), tol=1e-6)
 
 
 def test_outputs_strictly_increasing_in_x():
@@ -159,13 +152,6 @@ def test_rolling_count_grows_quadratically():
         cfg = default_cfg(f)
         counts[n] = count_comparisons(rolling_ball_reconstruct, *heights_for(f, cfg), cfg)
     assert 3.0 <= counts[100] / counts[50] <= 5.0
-
-
-def test_naive_count_is_product_of_family_sizes():
-    f, _ = gen_pl(8, seed=2)
-    cfg = default_cfg(f)
-    t, s, r = heights_for(f, cfg)
-    assert count_comparisons(naive_reconstruct, t, s, r, cfg) == len(t) * len(s) * len(r)
 
 
 def test_counter_ticks():

@@ -61,6 +61,15 @@ def test_sampled_function_requires_uniform_grid():
         SampledFunction([0.0, 0.1, 0.3], [0.0, 1.0, 2.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("axis", ["xs", "ys"])
+def test_sampled_function_rejects_samples_that_are_not_finite(axis, bad):
+    data = {"xs": [0.0, 1.0, 2.0, 3.0], "ys": [0.0, 1.0, 0.5, 2.0]}
+    data[axis][-1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        SampledFunction(data["xs"], data["ys"])
+
+
 def test_pl_proxy_collapses_equal_samples():
     f = SampledFunction([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 1.0, 2.0])
     proxy = pl_proxy(f)
