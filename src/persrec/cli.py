@@ -20,10 +20,11 @@ from .generators import gen_harmonic, gen_pl, gen_spline
 from .geometry import Angle, Point2
 from .landscape import Landscape, landscapes, reconstruct_from_landscapes
 from .persistence import (
+    CriticalKind,
+    CriticalPoint,
     Diagram,
     PLFunction,
     critical_heights,
-    critical_points_to_dicts,
     directional_diagram,
     is_admissible,
 )
@@ -96,7 +97,7 @@ def cmd_gen(args) -> int:
     func_dict = f.to_dict()
     pairs = list(zip(f.xs.tolist(), f.ys.tolist()))
 
-    truth_dict = {"critical_points": critical_points_to_dicts(truth)}
+    truth_dict = {"critical_points": _points_to_dicts(truth)}
     if args.out:
         _write_json(func_dict, args.out)
         _write_json(truth_dict, _truth_path(args.out))
@@ -171,7 +172,7 @@ def cmd_reconstruct_smooth(args) -> int:
     result = five_line_reconstruct(f, cfg)
     _write_json(
         {
-            "critical_points": critical_points_to_dicts(result.points),
+            "critical_points": _points_to_dicts(result.points),
             "alternation_ok": result.alternation_ok,
             "warnings": result.warnings,
         },
@@ -184,48 +185,69 @@ def cmd_reconstruct_smooth(args) -> int:
 
 def cmd_reconstruct_landscapes(args) -> int:
     ls = [Landscape.from_dict(d) for d in _read_json(args.in_landscapes)]
+    # a PL function is decoded at its own vertices, where its extrema lie
     f = _load_function(_read_json(args.in_function))
-    if not isinstance(f, SampledFunction):
-        f = SampledFunction.from_callable(f, f.domain, args.samples_per_unit)
     points = reconstruct_from_landscapes(ls, f.ys, f.xs)
-    _write_json(critical_points_to_dicts(points), args.out)
+    _write_json(_points_to_dicts(points), args.out)
     if args.emit_plot_data:
         _write_plot_data(args.emit_plot_data, [[(p.x, p.y) for p in points]])
     return 0
 
 
-def _load_points(data) -> list[tuple[float, float]]:
+def _points_to_dicts(points: list[CriticalPoint]) -> list[dict]:
+    return [{"x": p.x, "y": p.y, "kind": p.kind.value} for p in points]
+
+
+def _load_points(data) -> list[tuple[float, float, str | None]]:
+    """The interior points of a points file as (x, y, kind), kind None where
+    the file gives none. A file holds {"vertices": [[x, y], ..]}, whose first
+    and last are boundary points, or a list of [x, y] pairs or of the dicts
+    `_points_to_dicts` writes, bare or under "critical_points", where a point
+    of kind "endpoint" is a boundary point. Boundary points are left out."""
     if isinstance(data, dict) and "vertices" in data:
-        return [(float(x), float(y)) for x, y in data["vertices"]]
+        return [(float(x), float(y), None) for x, y in data["vertices"][1:-1]]
     if isinstance(data, dict) and "critical_points" in data:
         data = data["critical_points"]
-    if isinstance(data, list):
-        out = []
-        for item in data:
-            if isinstance(item, dict):
-                out.append((float(item["x"]), float(item["y"])))
-            else:
-                out.append((float(item[0]), float(item[1])))
-        return out
-    raise ValueError("unrecognized points file")
+    if not isinstance(data, list):
+        raise ValueError("unrecognized points file")
+    out = []
+    for item in data:
+        if not isinstance(item, dict):
+            out.append((float(item[0]), float(item[1]), None))
+        elif item.get("kind") != CriticalKind.ENDPOINT.value:
+            out.append((float(item["x"]), float(item["y"]), item.get("kind")))
+    return out
 
 
 def cmd_verify(args) -> int:
     recovered = _load_points(_read_json(args.points))
     truth = _load_points(_read_json(args.truth))
     tol = args.tol
-    missed = [
-        [tx, ty]
-        for tx, ty in truth
-        if not any(abs(tx - rx) <= tol and abs(ty - ry) <= tol for rx, ry in recovered)
-    ]
+    free = set(range(len(recovered)))
+    missed, mislabelled = [], []
+    for tx, ty, kind in truth:
+        # the nearest unused recovered point, by the larger of |dx| and |dy|
+        dist, k = min(
+            ((max(abs(tx - recovered[k][0]), abs(ty - recovered[k][1])), k) for k in free),
+            default=(math.inf, None),
+        )
+        if not dist <= tol:
+            missed.append([tx, ty])
+            continue
+        free.remove(k)
+        got = recovered[k][2]
+        if kind and got and got != kind:
+            mislabelled.append({"x": tx, "y": ty, "kind": kind, "recovered_kind": got})
+    spurious = [list(recovered[k][:2]) for k in sorted(free)]
     report = {
         "truth_points": len(truth),
         "recovered_points": len(recovered),
         "matched": len(truth) - len(missed),
         "missed": missed,
+        "spurious": spurious,
+        "mislabelled": mislabelled,
         "tol": tol,
-        "ok": not missed,
+        "ok": not (missed or spurious or mislabelled),
     }
     _write_json(report, args.out)
     return 0 if report["ok"] else 1
@@ -296,15 +318,18 @@ def build_parser() -> argparse.ArgumentParser:
     rl = sub.add_parser("reconstruct-landscapes", help="decode critical points from selected landscapes")
     rl.add_argument("--in-landscapes", required=True)
     rl.add_argument("--in-function", required=True)
-    rl.add_argument("--samples-per-unit", type=_samples_per_unit, default=10_000.0)
     rl.add_argument("--out")
     rl.add_argument("--emit-plot-data", metavar="PATH")
     rl.set_defaults(func=cmd_reconstruct_landscapes)
 
-    v = sub.add_parser("verify", help="check recovered points against a ground-truth file")
+    v = sub.add_parser(
+        "verify",
+        help="match recovered points one to one against a ground-truth file, boundary "
+        "points left out; exit 1 on a missed, spurious or mislabelled point",
+    )
     v.add_argument("--points", required=True)
     v.add_argument("--truth", required=True)
-    v.add_argument("--tol", type=float, default=1e-6)
+    v.add_argument("--tol", type=float, default=1e-6, help="largest |dx| and |dy| of a match")
     v.add_argument("--out")
     v.set_defaults(func=cmd_verify)
 

@@ -271,7 +271,3 @@ def critical_heights(d: Diagram) -> list[float]:
     hs = {p.birth for p in d.points}
     hs.update(p.death for p in d.points if not p.is_essential)
     return sorted(hs)
-
-
-def critical_points_to_dicts(points: Iterable[CriticalPoint]) -> list[dict]:
-    return [{"x": p.x, "y": p.y, "kind": p.kind.value} for p in points]

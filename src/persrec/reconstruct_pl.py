@@ -17,8 +17,9 @@ i, and R_i meets T_j exactly for j in [c[i-1], c[i]]. Only pairs closer than
 match_tol in x are tested, with the same floats as a pair-by-pair merge. The
 comparison count is read off the stop: i + j + 1 at a coincidence (i, j),
 n_r + c[n_r-1] when the R-lines run out, and n_t + i when the T-lines run out
-while R_i is current. An out-of-window coincidence discards its R-line early,
-and only a line with one of those walks its coincidences one by one.
+while R_i is current. A pair outside the x window is no coincidence: the
+merge discards its crossing further left, as at any other pair, so the window
+decides only where a line stops, never which pairs it meets.
 
 The sweep works on blocks of about `BLOCK` crossings, so its working set
 stays flat in n. One pass over every S-line at once holds a few n x n arrays:
@@ -70,9 +71,11 @@ class TripleConfig:
     def __post_init__(self) -> None:
         if not (0.0 < self.theta2.theta < self.theta1.theta < self.theta0.theta <= math.pi / 2):
             raise ValueError("need 0 < theta2 < theta1 < theta0 <= pi/2")
-        # NaN matches nothing, and inf merges every point into start and end
-        if not (math.isfinite(self.match_tol) and self.match_tol > 0):
-            raise ValueError(f"match_tol must be positive and finite, got {self.match_tol!r}")
+        # NaN, or a value whose square underflows to 0, matches nothing, and
+        # inf merges every point into start and end
+        tol = self.match_tol
+        if not (math.isfinite(tol) and tol > 0 and tol * tol > 0):
+            raise ValueError(f"match_tol must be positive and finite, with a nonzero square, got {tol!r}")
 
     # the default of match_tol below is the field default above (class scope)
     @classmethod
@@ -90,7 +93,7 @@ class TripleConfig:
     def x_window(self) -> tuple[float, float]:
         """Abscissa range that can contain critical points. Accidental
         near-coincidences of unrelated critical lines far outside the
-        function's domain are never triple points and are discarded."""
+        function's domain are never triple points, so none stops the sweep."""
         lo, hi = sorted((self.start.x, self.end.x))
         return lo - self.match_tol, hi + self.match_tol
 
@@ -157,25 +160,6 @@ def _block(ss: np.ndarray, lo: int, ts: np.ndarray, rs: np.ndarray, cfg: TripleC
     return np.count_nonzero(c < n_t, axis=1), c[:, -1].copy(), q + lo, i, c[q, i] - side, c_prev, side
 
 
-def _walk(hits: list[tuple], out: int, last: int, n_t: int, n_r: int):
-    """The merge of one S-line through its coincidences `hits`, (i, j, c[i-1],
-    inside, x, y) sorted by (i, j), on a line that meets one outside the
-    window. That one discards R_i at T_j, so R_{i+1} starts at T_j, not at
-    T_{c[i]}. `out` and `last` are as `_block` gives them. Returns the
-    comparison count and the point the merge stops at, if any."""
-    left: dict[int, int] = {}  # R-line -> the T-line it was discarded at
-    for i, j, c_prev, inside, x, y in hits:
-        if i in left or j < left.get(i - 1, c_prev):
-            continue
-        if inside:
-            return i + j + 1, (x, y)
-        left[i] = j
-    # an R-line discarded early leaves the T-lines to the next one
-    while out in left:
-        out += 1
-    return (n_t + out if out < n_r else n_r + left.get(n_r - 1, last)), None
-
-
 def _sweep(ss: np.ndarray, ts: np.ndarray, rs: np.ndarray, cfg: TripleConfig):
     """The rolling-ball merge along every S-line: the total comparison count
     and the points found, at most one per S-line, in S order."""
@@ -202,27 +186,14 @@ def _sweep(ss: np.ndarray, ts: np.ndarray, rs: np.ndarray, cfg: TripleConfig):
     xr, yr = intersect(cfg.theta1, ss[q], cfg.theta2, rs[i])
     xt, yt = intersect(cfg.theta1, ss[q], cfg.theta0, ts[j])
     dx, dy = xr - xt, yr - yt
-    met = np.flatnonzero(dx * dx + dy * dy < tol * tol)
-    met = met[np.lexsort((j[met], i[met], q[met]))]
-    q, i, j, c_prev, xr, yr = q[met], i[met], j[met], c_prev[met], xr[met], yr[met]
     x_lo, x_hi = cfg.x_window
-    inside = (x_lo <= xr) & (xr <= x_hi)
-
-    # R_i meets T_j for j >= c[i-1]: the first coincidence met on each line
-    # stops the merge there when it lies inside the window
-    on_path = np.flatnonzero(j >= c_prev)
-    first = on_path[np.flatnonzero(np.diff(q[on_path], prepend=-1))]
-    stop = first[inside[first]]
+    # R_i meets T_j for j >= c[i-1]: the first coincidence inside the window
+    # that the merge meets on each line stops it there
+    met = np.flatnonzero((dx * dx + dy * dy < tol * tol) & (x_lo <= xr) & (xr <= x_hi) & (j >= c_prev))
+    met = met[np.lexsort((j[met], i[met], q[met]))]
+    stop = met[np.flatnonzero(np.diff(q[met], prepend=-1))]
     steps[q[stop]] = i[stop] + j[stop] + 1
-    points = np.full((len(ss), 2), np.nan)
-    points[q[stop], 0], points[q[stop], 1] = xr[stop], yr[stop]
-    for row in q[first[~inside[first]]].tolist():
-        mine = q == row
-        hits = zip(*(a[mine].tolist() for a in (i, j, c_prev, inside, xr, yr)))
-        steps[row], point = _walk(list(hits), int(out[row]), int(last[row]), n_t, n_r)
-        if point is not None:
-            points[row] = point
-    return int(steps.sum()), points[~np.isnan(points[:, 0])]
+    return int(steps.sum()), np.column_stack((xr[stop], yr[stop]))
 
 
 def rolling_ball_reconstruct(
@@ -234,10 +205,11 @@ def rolling_ball_reconstruct(
 ) -> list[Point2]:
     """Rolling-ball triple search.
 
-    Per S-line it stops at the first triple the merge meets, which is exact
-    when no critical line carries two triple points. Start and end are always
-    included; output is sorted by x. With a counter, it counts the sorts'
-    comparisons one by one and adds the merge's derived count.
+    Per S-line it stops at the first triple inside `cfg.x_window` that the
+    merge meets, which is exact when no critical line carries two triple
+    points. Start and end are always included; output is sorted by x. With a
+    counter, it counts the sorts' comparisons one by one and adds the merge's
+    derived count.
     """
     ts = _sorted(t_heights, True, counter)
     ss = _sorted(s_heights, False, counter)

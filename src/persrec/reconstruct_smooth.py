@@ -99,11 +99,6 @@ class SampledFunction:
         self.xs = xs
         self.ys = ys
 
-    @classmethod
-    def from_callable(cls, fn, domain: tuple[float, float], samples_per_unit: float = 10_000.0) -> "SampledFunction":
-        xs = uniform_grid(domain, samples_per_unit)
-        return cls(xs, fn(xs))
-
     @property
     def domain(self) -> tuple[float, float]:
         return float(self.xs[0]), float(self.xs[-1])

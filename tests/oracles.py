@@ -144,8 +144,8 @@ def rolling_ball_by_scan(t_heights, s_heights, r_heights, cfg):
     sweep step. Per S-line the T-crossings (T sorted decreasing) and the
     R-crossings (R increasing) both run left to right; the one further left is
     discarded (a tie discards the T-crossing), and the sweep stops at the
-    first coincidence within match_tol inside the x window. An out-of-window
-    coincidence discards its R-line. A point within match_tol of one kept
+    first coincidence within match_tol inside the x window; a pair outside it
+    goes through the same discard rule. A point within match_tol of one kept
     before it is dropped; start and end are kept first.
     """
     th0, th1, th2 = cfg.theta0.theta, cfg.theta1.theta, cfg.theta2.theta
@@ -182,11 +182,9 @@ def rolling_ball_by_scan(t_heights, s_heights, r_heights, cfg):
             x_t = (t * sin1 - s * sin0) / den10
             y_t = (s * cos0 - t * cos1) / den10
             dx, dy = x_r - x_t, y_r - y_t
-            if dx * dx + dy * dy < tol2:
-                if x_lo <= x_r <= x_hi:
-                    push(x_r, y_r)
-                    break
-                i += 1
+            if dx * dx + dy * dy < tol2 and x_lo <= x_r <= x_hi:
+                push(x_r, y_r)
+                break
             elif x_r < x_t:
                 i += 1
             else:

@@ -83,7 +83,8 @@ def test_reconstruct_pl_has_no_algorithm_option(capsys):
     assert "unrecognized arguments: --algorithm naive" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf"])
+# 1e-300 is finite, but its square underflows to 0, so it would match nothing
+@pytest.mark.parametrize("tol", ["nan", "inf", "1e-300"])
 def test_reconstruct_pl_rejects_a_tolerance_that_is_not_finite(tmp_path, tol, capsys):
     f = tmp_path / "f.json"
     run(["gen", "pl", "--n", 3, "--seed", 5, "--out", f])
@@ -109,6 +110,63 @@ def test_verify_fails_on_wrong_truth(tmp_path):
     truth = tmp_path / "t.json"
     truth.write_text(json.dumps({"critical_points": [{"x": 0.5, "y": 0.5, "kind": "min"}]}))
     assert run(["verify", "--points", rec, "--truth", truth]) == 1
+
+
+def verify_report(tmp_path, points, truth):
+    """Exit status and report of `verify` on the given points and truth
+    files' contents."""
+    (tmp_path / "p.json").write_text(json.dumps(points))
+    (tmp_path / "t.json").write_text(json.dumps(truth))
+    status = run([
+        "verify", "--points", tmp_path / "p.json", "--truth", tmp_path / "t.json", "--out", tmp_path / "rep.json",
+    ])
+    return status, read_json(tmp_path / "rep.json")
+
+
+def pl_truth(tmp_path):
+    run(["gen", "pl", "--seed", 1, "--n", 3, "--out", tmp_path / "f.json"])
+    return read_json(tmp_path / "f.truth.json")
+
+
+def test_verify_reports_a_spurious_point(tmp_path):
+    truth = pl_truth(tmp_path)
+    points = {"critical_points": [*truth["critical_points"], {"x": 0.5, "y": 0.5, "kind": "min"}]}
+    status, report = verify_report(tmp_path, points, truth)
+    assert status == 1 and not report["ok"]
+    assert report["matched"] == 3 and report["missed"] == [] and report["spurious"] == [[0.5, 0.5]]
+
+
+def test_verify_reports_mislabelled_points(tmp_path):
+    truth = pl_truth(tmp_path)
+    flip = {"min": "max", "max": "min"}
+    points = [dict(c, kind=flip[c["kind"]]) for c in truth["critical_points"]]
+    status, report = verify_report(tmp_path, points, truth)
+    assert status == 1 and report["matched"] == 3 and report["spurious"] == []
+    assert [(m["kind"], m["recovered_kind"]) for m in report["mislabelled"]] == [
+        (c["kind"], flip[c["kind"]]) for c in truth["critical_points"]
+    ]
+
+
+def test_verify_matches_points_one_to_one(tmp_path):
+    # both truth points lie within tol of the one recovered point: it stands
+    # for the first of them only, so the second is missed
+    truth = [[0.5, 0.5], [0.5, 0.5 + 4e-7]]
+    status, report = verify_report(tmp_path, [[0.5, 0.5 + 3e-7]], truth)
+    assert status == 1 and report["matched"] == 1 and report["missed"] == [[0.5, 0.5 + 4e-7]]
+
+
+def test_verify_leaves_boundary_points_out(tmp_path):
+    # the first and last vertices, and points of kind endpoint, are boundary
+    # points on either side; a point with no kind is not mislabelled
+    points = {"vertices": [[0.0, 1.0], [0.5, 0.5], [1.0, 1.0]]}
+    truth = [
+        {"x": 0.0, "y": 0.0, "kind": "endpoint"},
+        {"x": 0.5, "y": 0.5, "kind": "min"},
+        {"x": 2.0, "y": 0.0, "kind": "endpoint"},
+    ]
+    status, report = verify_report(tmp_path, points, truth)
+    assert status == 0 and report["ok"]
+    assert (report["truth_points"], report["recovered_points"], report["matched"]) == (1, 1, 1)
 
 
 def test_diagram_strict_rejects_non_admissible(tmp_path):
@@ -138,20 +196,24 @@ def test_landscape_and_reconstruct_landscapes_round_trip(tmp_path):
     assert run(["landscape", "--in", tmp_path / "d.json", "--levels", 8, "--out", tmp_path / "l.json"]) == 0
     ls = read_json(tmp_path / "l.json")
     assert [l["level"] for l in ls] == list(range(1, 9))
-    # sampling at 4096 per unit puts every generator vertex on the grid
+    # a PL function is decoded at its own vertices, so the points are exact
     assert run([
         "reconstruct-landscapes",
         "--in-landscapes", tmp_path / "l.json",
         "--in-function", f,
-        "--samples-per-unit", 4096,
         "--out", tmp_path / "pts.json",
     ]) == 0
     got = read_json(tmp_path / "pts.json")
     truth = read_json(tmp_path / "f.truth.json")["critical_points"]
-    for c in truth:
-        assert any(
-            abs(p["x"] - c["x"]) < 1e-9 and p["kind"] == c["kind"] for p in got
-        ), c
+    assert [p for p in got if p["kind"] != "endpoint"] == truth
+    assert run(["verify", "--points", tmp_path / "pts.json", "--truth", tmp_path / "f.truth.json", "--tol", 0]) == 0
+
+
+def test_reconstruct_landscapes_has_no_samples_per_unit_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["reconstruct-landscapes", "--in-landscapes", "l", "--in-function", "f", "--samples-per-unit", 10])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --samples-per-unit 10" in capsys.readouterr().err
 
 
 def test_reconstruct_landscapes_rejects_a_nan_sample(tmp_path, capsys):
@@ -235,9 +297,8 @@ def test_malformed_pair_exits_2_with_usage(argv, capsys):
     [
         ["gen", "harmonic", "--seed", 1],
         ["gen", "spline", "--seed", 1],
-        ["reconstruct-landscapes", "--in-landscapes", "l", "--in-function", "f"],
     ],
-    ids=["gen-harmonic", "gen-spline", "reconstruct-landscapes"],
+    ids=["gen-harmonic", "gen-spline"],
 )
 def test_bad_samples_per_unit_exits_2_with_usage(argv, value, capsys):
     with pytest.raises(SystemExit) as exc:

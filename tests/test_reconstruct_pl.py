@@ -48,7 +48,8 @@ def expected_for(f, truth):
     )
 
 
-@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-6])
+# 1e-300 squares to 0, so it would match no pair
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-6, 1e-300])
 def test_config_rejects_a_tolerance_that_is_not_positive_and_finite(tol):
     p = Point2(0.0, 0.0)
     with pytest.raises(ValueError, match="match_tol"):
@@ -203,21 +204,21 @@ def test_empty_and_singleton_families_equal_the_scalar_sweep(t, s, r):
 
 def test_an_exact_tie_discards_the_t_crossing():
     # along the S-line s = 0: T-crossings at -11.4 and -0.0, R-crossings at
-    # 0.0 and 11.4; at a tolerance whose square is 0 the tie is no match, and
-    # discarding T_1 at the tie ends the merge after two steps, one fewer
-    # than discarding R_0 would take
-    cfg = TripleConfig.default(Point2(0.0, 0.5), Point2(1.0, 0.25), match_tol=1e-300)
+    # 0.0 and 11.4; the tie lies left of the window [0.5, 1], so it is no
+    # match, and discarding T_1 at the tie ends the merge after two steps,
+    # one fewer than discarding R_0 would take
+    cfg = TripleConfig.default(Point2(0.5, 0.5), Point2(1.0, 0.25))
     sorts = 2  # one comparison to sort each pair
     assert assert_equals_scan([0.0, 1.0], [0.0], [0.0, 1.0], cfg) == sorts + 2
 
 
-def test_an_out_of_window_coincidence_discards_its_r_line_early():
+def test_an_out_of_window_coincidence_goes_through_the_tie_rule():
     # T_0, S and R_0 meet at the origin, left of the window [1, 2]; the tie
-    # there counts T_0 left of R_0, yet the coincidence discards R_0, so R_1
-    # still meets T_0 before the T-lines run out
+    # there discards T_0, so the T-lines run out after one step and R_1
+    # meets nothing
     cfg = TripleConfig.default(Point2(1.0, 0.0), Point2(2.0, 0.0))
     sorts = 1
-    assert assert_equals_scan([0.0], [0.0], [0.0, 1.0], cfg) == sorts + 2
+    assert assert_equals_scan([0.0], [0.0], [0.0, 1.0], cfg) == sorts + 1
 
 
 def on_s_line(cfg, s, x):

@@ -26,7 +26,8 @@ from oracles import locate_by_scan, triangles_by_scan
 
 
 def sampled(fn, domain, spu=10_000.0):
-    return SampledFunction.from_callable(fn, domain, samples_per_unit=spu)
+    xs = uniform_grid(domain, spu)
+    return SampledFunction(xs, fn(xs))
 
 
 def nonagon(x):
