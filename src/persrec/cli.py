@@ -125,7 +125,7 @@ def cmd_diagram(args) -> int:
 
 def cmd_landscape(args) -> int:
     d = Diagram.from_dict(_read_json(args.infile))
-    ls = landscapes(d, args.levels, essential_cap=args.essential_cap)
+    ls = landscapes(d, args.levels)
     _write_json([l.to_dict() for l in ls], args.out)
     if args.emit_plot_data:
         _write_plot_data(args.emit_plot_data, [list(l.vertices) for l in ls if not l.is_zero])
@@ -289,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     l = sub.add_parser("landscape", help="exact persistence landscapes of a diagram file")
     l.add_argument("--in", dest="infile", required=True)
     l.add_argument("--levels", type=int, default=10)
-    l.add_argument("--essential-cap", type=float, default=None)
     l.add_argument("--out")
     l.add_argument("--emit-plot-data", metavar="PATH")
     l.set_defaults(func=cmd_landscape)

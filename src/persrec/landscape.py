@@ -25,7 +25,10 @@ or a finite death) of the source diagram.
 Decoded values are matched back to the sample extrema of
 `persistence.extremal_points`, all extrema against all values in one
 broadcast comparison, so decoding shares the diagram sweep's one extremum
-rule and `critical_points`' one kind rule.
+rule and `critical_points`' one kind rule. A decoded value is a vertical
+projection x*cos(pi/2) + y of its extremum, so it differs from the sample
+value by rounding only; the match allows 4 eps times the largest magnitude
+of the extremal values and the domain ends, and no more.
 """
 
 from __future__ import annotations
@@ -35,11 +38,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .persistence import CriticalPoint, Diagram, extremal_points
-
-# Threshold on the squared difference (samples - y)**2 when matching decoded
-# critical values back to sample indices.
-MATCH_THRESHOLD = 1e-4
-
 
 @dataclass(frozen=True)
 class Landscape:
@@ -73,31 +71,27 @@ class Landscape:
         return cls(int(data["level"]), tuple((float(t), float(u)) for t, u in data["vertices"]))
 
 
-def capped_points(d: Diagram, essential_cap: float | None = None) -> list[tuple[float, float]]:
-    """Finite (birth, death) pairs with the essential death capped.
-
-    The cap defaults to the largest height in the diagram (max over births and
-    finite deaths), which equals max(f) for the vertical diagram of a function
-    whose global maximum is interior. An essential point whose cap does not
-    exceed its birth contributes nothing.
+def capped_points(d: Diagram) -> list[tuple[float, float]]:
+    """Finite (birth, death) pairs with the essential death capped at the
+    largest height in the diagram (max over births and finite deaths), which
+    equals max(f) for the vertical diagram of a function whose global maximum
+    is interior. An essential point whose cap does not exceed its birth
+    contributes nothing.
     """
     pts = [(p.birth, p.death) for p in d.finite_points]
-    ess = d.essential
-    if essential_cap is None:
-        heights = [p.birth for p in d.points] + [p.death for p in d.finite_points]
-        essential_cap = max(heights)
-    if essential_cap > ess.birth:
-        pts.append((ess.birth, float(essential_cap)))
+    cap = max([p.birth for p in d.points] + [p.death for p in d.finite_points])
+    if cap > d.essential.birth:
+        pts.append((d.essential.birth, cap))
     return pts
 
 
-def landscapes(d: Diagram, max_k: int, essential_cap: float | None = None) -> list[Landscape]:
+def landscapes(d: Diagram, max_k: int) -> list[Landscape]:
     """Exact piecewise-linear landscapes lambda_1 .. lambda_max_k of a diagram.
 
     Levels beyond the last nonzero one come back as zero landscapes, matching
     the fact that only finitely many levels are nonzero.
     """
-    return landscapes_from_pairs(capped_points(d, essential_cap), max_k)
+    return landscapes_from_pairs(capped_points(d), max_k)
 
 
 def landscapes_from_pairs(pairs: list[tuple[float, float]], max_k: int) -> list[Landscape]:
@@ -156,12 +150,13 @@ def reconstruct_from_landscapes(selected: list[Landscape], samples, xs) -> list[
     """Critical points of a sampled function recovered from a subset of its
     vertical-direction landscapes; all nonzero levels recover them all.
 
-    A sample extremum is kept when its value lies within the squared-difference
-    threshold of a decoded critical value, so several critical points sharing
-    (almost) one y-value are all retrieved.
+    A sample extremum is kept when its value lies within rounding of a
+    decoded critical value, so several critical points sharing one y-value
+    are all retrieved.
     """
     y_values = np.array([y for l in selected if not l.is_zero for y in get_y_values(l)])
     points = extremal_points(xs, samples)
     ys = np.array([p.y for p in points])
-    hit = ((y_values[None, :] - ys[:, None]) ** 2 < MATCH_THRESHOLD).any(axis=1)
+    tol = 4 * np.finfo(float).eps * (np.abs(ys).max() + max(abs(xs[0]), abs(xs[-1])))
+    hit = (np.abs(y_values[None, :] - ys[:, None]) <= tol).any(axis=1)
     return [p for p, h in zip(points, hit) if h]

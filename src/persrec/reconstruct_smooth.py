@@ -3,8 +3,9 @@
 A critical point (x0, y0) is bracketed by tangent lines: the horizontal
 tangent y = y0, a pair of steep tangents with slopes +-m1 crossing y = y0 at
 x1 < x2 close to x0, and a pair of shallow tangents with slopes +-m2 crossing
-at x3, x4 even closer. Tangent-line heights come from directional persistence
-diagrams of the sampled function (a dense piecewise-linear proxy).
+at x3, x4 even closer. The five height families come from directional
+diagrams of the samples' piecewise-linear proxy; the steps after that take
+plain heights. A point at a birth height of the vertical diagram is a minimum.
 
 Detection keeps every (horizontal, steep-, steep+) triple whose crossings
 with y = t are distinct and less than tau apart, as a row (t, r, s, x1, x2).
@@ -198,26 +199,28 @@ def compute_x(x1, x2, x3, x4, m1: float, m2: float):
     return num / den
 
 
-def filter_and_locate(triangles: np.ndarray, f: SampledFunction, cfg: SmoothConfig) -> list[CriticalPoint]:
-    """Validate candidate rows (t, r, s, x1, x2) with shallow tangent pairs
-    and locate the enclosed critical points.
+def filter_and_locate(
+    triangles, rr_heights, ss_heights, births, domain: tuple[float, float], step: float, cfg: SmoothConfig
+) -> list[CriticalPoint]:
+    """Validate candidate rows (t, r, s, x1, x2) with pairs of shallow
+    heights, rr of slope -m2 and ss of m2, and locate the enclosed points.
 
-    A pair (rr, ss) of shallow heights brackets a row when both its crossings
-    with y = t lie strictly inside (x1, x2). A row meets only the ss heights
-    in its window (`_window`), and each of those only the rr heights in
-    theirs, in (row, ss, rr) order; the exact test keeps the pairs that
-    bracket. Each pair goes to the first row that brackets it, and is used up
-    there, even when its estimate then falls outside the domain:
-    quasi-multiple tangents give adjacent duplicates of one critical point,
-    and the shallow pair is what fixes it. A row can take several pairs, and
-    each gives its own point. The estimates are computed in that order, so
-    the first vanishing denominator in it is the one `DegenerateEstimator`
-    reports.
+    A pair brackets a row when both its crossings with y = t lie strictly
+    inside (x1, x2). A row meets only the ss heights in its window
+    (`_window`), and each of those only the rr heights in theirs, in (row,
+    ss, rr) order; the exact test keeps the pairs that bracket. Each pair
+    goes to the first row that brackets it, and is used up there, even when
+    its estimate then falls outside the domain: quasi-multiple tangents give
+    adjacent duplicates of one critical point, and the shallow pair is what
+    fixes it. A row can take several pairs, and each gives its own point.
+    The estimates are computed in that order, so the first vanishing
+    denominator in it is the one `DegenerateEstimator` reports. A point more
+    than one grid step inside the domain is kept: a minimum when its height
+    t is one of the vertical diagram's `births`, else a maximum.
     """
     m1, m2 = cfg.m1, cfg.m2
     # a pair is two height values: a height listed twice is one line
-    rr = np.unique(tangent_heights(f, -m2))
-    ss = np.unique(tangent_heights(f, m2))
+    rr, ss = np.unique(rr_heights), np.unique(ss_heights)
     rows = np.reshape(triangles, (-1, 5))
     t, x1, x2 = rows[:, 0], rows[:, 3], rows[:, 4]
     k, j = _window(ss, t, m2, x1, x2)
@@ -229,14 +232,14 @@ def filter_and_locate(triangles: np.ndarray, f: SampledFunction, cfg: SmoothConf
     first = np.unique(j[hit] * len(rr) + i[hit], return_index=True)[1]
     pick = hit[np.sort(first)]
     x3, x4 = x3[pick], x4[pick]
-    t, r, s, x1, x2 = rows[k[pick]].T
+    t, _, _, x1, x2 = rows[k[pick]].T
     # min and max as Python's builtins take them, signed zeros included
     x_est = compute_x(x1, x2, np.where(x4 < x3, x4, x3), np.where(x4 > x3, x4, x3), m1, m2)
-    (a, b), dx = f.domain, f.step
+    (a, b), dx = domain, step
     # boundary points are the caller's data, never detected here
     keep = np.flatnonzero((a + dx < x_est) & (x_est < b - dx))
     keep = keep[np.argsort(x_est[keep], kind="stable")]
-    is_min = (t - r) / -m1 < (t - s) / m1
+    is_min = np.isin(t, births)
     return [
         CriticalPoint(x, y, CriticalKind.LOCAL_MIN if low else CriticalKind.LOCAL_MAX)
         for x, y, low in zip(x_est[keep].tolist(), t[keep].tolist(), is_min[keep].tolist())
@@ -257,19 +260,20 @@ class SmoothReconstruction:
 
 
 def five_line_reconstruct(f: SampledFunction, cfg: SmoothConfig | None = None) -> SmoothReconstruction:
-    """Full pipeline: tangent heights -> narrow triangles -> shallow-pair
-    filtering and location -> alternation sanity check.
+    """Full pipeline: the five height families -> narrow triangles ->
+    shallow-pair filtering and location -> alternation sanity check.
 
-    Points that do not alternate are reported through a warning. A vanishing
-    estimator denominator is not: `DegenerateEstimator` escapes, as it does on
-    `gen_harmonic(40)`.
+    The vertical diagram gives the horizontal heights and the births that
+    mark minima; `tangent_heights` gives the other four families. Points that
+    do not alternate are reported through a warning. A vanishing estimator
+    denominator is not: `DegenerateEstimator` escapes, as on `gen_harmonic(40)`.
     """
     cfg = cfg or SmoothConfig()
-    t_heights = tangent_heights(f, 0.0)
-    s_heights = tangent_heights(f, cfg.m1)
-    r_heights = tangent_heights(f, -cfg.m1)
-    triangles = detect_triangles(t_heights, s_heights, r_heights, cfg.m1, cfg.tau)
-    points = filter_and_locate(triangles, f, cfg)
+    d = directional_diagram(pl_proxy(f), angle_for_slope(0.0))
+    s_heights, r_heights = tangent_heights(f, cfg.m1), tangent_heights(f, -cfg.m1)
+    rr_heights, ss_heights = tangent_heights(f, -cfg.m2), tangent_heights(f, cfg.m2)
+    triangles = detect_triangles(critical_heights(d), s_heights, r_heights, cfg.m1, cfg.tau)
+    points = filter_and_locate(triangles, rr_heights, ss_heights, [p.birth for p in d.points], f.domain, f.step, cfg)
     ok = alternation_check(points)
     warnings = [] if ok else ["local minima and maxima do not alternate; suspect false or missed detections"]
     return SmoothReconstruction(points, ok, warnings)

@@ -4,9 +4,9 @@ These deliberately share no logic with the library: the diagram oracle tracks
 sublevel-set intervals geometrically (recomputed from scratch at every level),
 the landscape oracles evaluate tent order statistics pointwise, and the
 rolling-ball oracle walks the two-pointer merge one comparison at a time.
-The smooth-path scans walk one candidate at a time; they share only the
-shallow heights (`tangent_heights`) and the scalar estimator (`compute_x`),
-which are tested on their own.
+The smooth-path scans walk one candidate at a time, on height families they
+are given; they share only the scalar estimator (`compute_x`), which is
+tested on its own.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import math
 import numpy as np
 
 from persrec.persistence import CriticalKind, CriticalPoint, PLFunction
-from persrec import reconstruct_smooth
 from persrec.reconstruct_smooth import compute_x
 
 
@@ -223,24 +222,22 @@ def triangles_by_scan(t_heights, s_heights, r_heights, m, tau):
     return triangles
 
 
-def locate_by_scan(triangles, f, cfg):
+def locate_by_scan(triangles, rr_heights, ss_heights, births, domain, step, cfg):
     """Shallow-pair validation one triangle, one ss and one rr at a time.
 
     A pair (rr, ss) whose crossings with y = t both lie strictly inside
     (x1, x2) is recorded in a `used` set on first sight, then its estimate is
-    kept when it lies more than one step inside the domain. Points come back
-    stably sorted by x.
+    kept when it lies more than one step inside the domain. A point at a
+    height among the births is a minimum, any other a maximum. Points come
+    back stably sorted by x.
     """
     m1, m2 = cfg.m1, cfg.m2
-    # through the module, so that a test can stand in its own heights
-    rr_heights = reconstruct_smooth.tangent_heights(f, -m2)
-    ss_heights = reconstruct_smooth.tangent_heights(f, m2)
+    minima = set(births)
     used = set()
-    a, b = f.domain
-    dx = f.step
+    a, b = domain
 
     points = []
-    for t, r, s, x1, x2 in triangles:
+    for t, _, _, x1, x2 in triangles:
         for ss in ss_heights:
             x4c = _cross_at(t, m2, ss)
             if not (x1 < x4c < x2):
@@ -253,11 +250,9 @@ def locate_by_scan(triangles, f, cfg):
                     continue
                 used.add((rr, ss))
                 x_est = compute_x(x1, x2, min(x3c, x4c), max(x3c, x4c), m1, m2)
-                if not (a + dx < x_est < b - dx):
+                if not (a + step < x_est < b - step):
                     continue
-                r_cross = _cross_at(t, -m1, r)
-                s_cross = _cross_at(t, m1, s)
-                kind = CriticalKind.LOCAL_MIN if r_cross < s_cross else CriticalKind.LOCAL_MAX
+                kind = CriticalKind.LOCAL_MIN if t in minima else CriticalKind.LOCAL_MAX
                 points.append(CriticalPoint(x_est, t, kind))
     points.sort(key=lambda p: p.x)
     return points

@@ -216,6 +216,13 @@ def test_reconstruct_landscapes_has_no_samples_per_unit_option(capsys):
     assert "unrecognized arguments: --samples-per-unit 10" in capsys.readouterr().err
 
 
+def test_landscape_has_no_essential_cap_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["landscape", "--in", "d", "--essential-cap", 2.0])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --essential-cap 2.0" in capsys.readouterr().err
+
+
 def test_reconstruct_landscapes_rejects_a_nan_sample(tmp_path, capsys):
     (tmp_path / "l.json").write_text(json.dumps([{"level": 1, "vertices": [[0.0, 0.0], [0.5, 0.5], [1.0, 0.0]]}]))
     # json writes a NaN sample as the bare token NaN, which json reads back

@@ -201,6 +201,13 @@ def test_reconstruct_matches_decoded_values_worked_example():
     assert decode(98.0, 99.0) == []
 
 
+def test_an_extremum_a_little_off_every_decoded_value_is_not_kept():
+    # one tent decodes to 0.5 and 1.0; the maximum 1.004 lies within 0.01 of
+    # 1.0, which is far more than rounding
+    pts = reconstruct_from_landscapes(landscapes_from_pairs([(0.5, 1.0)], 1), [0.0, 1.0, 0.5, 1.004, 0.0], np.arange(5.0))
+    assert [(p.x, p.y) for p in pts] == [(1.0, 1.0), (2.0, 0.5)]
+
+
 def test_reconstruct_from_all_landscapes_recovers_interior_points():
     f = PLFunction([0.0, 0.5, 2.0, 4.0], [2.5, 4.0, 0.5, 2.5])
     xs, ys = fig_samples()
