@@ -4,8 +4,8 @@ reconstructions into file-based pipelines.
 Angles are degrees everywhere on the CLI and in files. Every randomized
 command requires --seed, so identical invocations produce identical files.
 Exit codes: 0 success, 1 domain errors (e.g. a non-admissible direction under
---strict) and, silently, a standard output closed by its reader, 2 argument
-errors.
+--strict, or an input file of the wrong shape, named in the message) and,
+silently, a standard output closed by its reader, 2 argument errors.
 """
 
 from __future__ import annotations
@@ -32,9 +32,14 @@ from .reconstruct_pl import TripleConfig, rolling_ball_reconstruct
 from .reconstruct_smooth import SampledFunction, SmoothConfig, five_line_reconstruct, pl_proxy
 
 
-def _read_json(path: str):
+def _load(path: str, parse):
+    """parse applied to the JSON in the file at path. A file that is not JSON
+    or whose contents parse cannot read is a ValueError naming the file."""
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return parse(json.load(fh))
+        except (TypeError, KeyError, IndexError, ValueError) as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 def _write_json(obj, path: str | None) -> None:
@@ -68,6 +73,13 @@ def _samples_per_unit(text: str) -> float:
     value = float(text)
     if not (math.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"expected a number >= 0, got {text!r}")
     return value
 
 
@@ -109,7 +121,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_diagram(args) -> int:
-    f = _load_function(_read_json(args.infile))
+    f = _load(args.infile, _load_function)
     v = Angle.from_degrees(args.angle_deg)
     sampled = isinstance(f, SampledFunction)
     out = directional_diagram(pl_proxy(f) if sampled else f, v).to_dict()
@@ -124,7 +136,7 @@ def cmd_diagram(args) -> int:
 
 
 def cmd_landscape(args) -> int:
-    d = Diagram.from_dict(_read_json(args.infile))
+    d = _load(args.infile, Diagram.from_dict)
     ls = landscapes(d, args.levels)
     _write_json([l.to_dict() for l in ls], args.out)
     if args.emit_plot_data:
@@ -133,20 +145,17 @@ def cmd_landscape(args) -> int:
 
 
 def cmd_reconstruct_pl(args) -> int:
-    data_t = _read_json(args.in_t)
-    data_s = _read_json(args.in_s)
-    data_r = _read_json(args.in_r)
-    flagged = [
-        name
-        for name, data in (("T", data_t), ("S", data_s), ("R", data_r))
-        if data.get("admissible") is False
+    loaded = [
+        _load(path, lambda data: (Diagram.from_dict(data), data.get("admissible") is False))
+        for path in (args.in_t, args.in_s, args.in_r)
     ]
+    flagged = [name for name, (_, flag) in zip("TSR", loaded) if flag]
     if flagged:
         print(f"warning: non-admissible direction(s) in {', '.join(flagged)}; "
               "reconstruction may omit critical points", file=sys.stderr)
         if args.strict:
             return 1
-    d_t, d_s, d_r = (Diagram.from_dict(d) for d in (data_t, data_s, data_r))
+    (d_t, _), (d_s, _), (d_r, _) = loaded
     cfg = TripleConfig(
         d_t.direction,
         d_s.direction,
@@ -165,7 +174,7 @@ def cmd_reconstruct_pl(args) -> int:
 
 
 def cmd_reconstruct_smooth(args) -> int:
-    f = _load_function(_read_json(args.infile))
+    f = _load(args.infile, _load_function)
     if not isinstance(f, SampledFunction):
         raise ValueError("reconstruct-smooth expects a sampled function file ('xs'/'ys')")
     cfg = SmoothConfig(tau=args.tau, steep_deg=args.steep_deg, shallow_deg=args.shallow_deg)
@@ -184,11 +193,11 @@ def cmd_reconstruct_smooth(args) -> int:
 
 
 def cmd_reconstruct_landscapes(args) -> int:
-    ls = [Landscape.from_dict(d) for d in _read_json(args.in_landscapes)]
+    ls = _load(args.in_landscapes, lambda data: [Landscape.from_dict(d) for d in data])
     # a PL function is decoded at its own vertices, where its extrema lie
-    f = _load_function(_read_json(args.in_function))
+    f = _load(args.in_function, _load_function)
     points = reconstruct_from_landscapes(ls, f.ys, f.xs)
-    _write_json(_points_to_dicts(points), args.out)
+    _write_json({"critical_points": _points_to_dicts(points)}, args.out)
     if args.emit_plot_data:
         _write_plot_data(args.emit_plot_data, [[(p.x, p.y) for p in points]])
     return 0
@@ -198,30 +207,26 @@ def _points_to_dicts(points: list[CriticalPoint]) -> list[dict]:
     return [{"x": p.x, "y": p.y, "kind": p.kind.value} for p in points]
 
 
-def _load_points(data) -> list[tuple[float, float, str | None]]:
+def _load_points(data: dict) -> list[tuple[float, float, str | None]]:
     """The interior points of a points file as (x, y, kind), kind None where
     the file gives none. A file holds {"vertices": [[x, y], ..]}, whose first
-    and last are boundary points, or a list of [x, y] pairs or of the dicts
-    `_points_to_dicts` writes, bare or under "critical_points", where a point
-    of kind "endpoint" is a boundary point. Boundary points are left out."""
-    if isinstance(data, dict) and "vertices" in data:
+    and last are boundary points, or {"critical_points": [..]} as
+    `_points_to_dicts` writes it, where a point of kind "endpoint" is a
+    boundary point. Boundary points are left out."""
+    if "vertices" in data:
         return [(float(x), float(y), None) for x, y in data["vertices"][1:-1]]
-    if isinstance(data, dict) and "critical_points" in data:
-        data = data["critical_points"]
-    if not isinstance(data, list):
-        raise ValueError("unrecognized points file")
-    out = []
-    for item in data:
-        if not isinstance(item, dict):
-            out.append((float(item[0]), float(item[1]), None))
-        elif item.get("kind") != CriticalKind.ENDPOINT.value:
-            out.append((float(item["x"]), float(item["y"]), item.get("kind")))
-    return out
+    if "critical_points" in data:
+        return [
+            (float(p["x"]), float(p["y"]), p["kind"])
+            for p in data["critical_points"]
+            if p["kind"] != CriticalKind.ENDPOINT.value
+        ]
+    raise ValueError("points file must contain either 'vertices' or 'critical_points'")
 
 
 def cmd_verify(args) -> int:
-    recovered = _load_points(_read_json(args.points))
-    truth = _load_points(_read_json(args.truth))
+    recovered = _load(args.points, _load_points)
+    truth = _load(args.truth, _load_points)
     tol = args.tol
     free = set(range(len(recovered)))
     missed, mislabelled = [], []
@@ -328,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     v.add_argument("--points", required=True)
     v.add_argument("--truth", required=True)
-    v.add_argument("--tol", type=float, default=1e-6, help="largest |dx| and |dy| of a match")
+    v.add_argument("--tol", type=_tolerance, default=1e-6, help="largest |dx| and |dy| of a match")
     v.add_argument("--out")
     v.set_defaults(func=cmd_verify)
 

@@ -68,7 +68,10 @@ class Landscape:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Landscape":
-        return cls(int(data["level"]), tuple((float(t), float(u)) for t, u in data["vertices"]))
+        vertices = tuple((float(t), float(u)) for t, u in data["vertices"])
+        if not np.isfinite(vertices).all():
+            raise ValueError("landscape vertices must be finite numbers")
+        return cls(int(data["level"]), vertices)
 
 
 def capped_points(d: Diagram) -> list[tuple[float, float]]:

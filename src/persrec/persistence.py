@@ -71,10 +71,6 @@ class PLFunction:
         self.xs = xs
         self.ys = ys
 
-    @property
-    def domain(self) -> tuple[float, float]:
-        return float(self.xs[0]), float(self.xs[-1])
-
     def __len__(self) -> int:
         return len(self.xs)
 
@@ -144,10 +140,12 @@ class Diagram:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Diagram":
-        points = tuple(
-            PersistencePoint(float(p["birth"]), None if p["death"] == "inf" else float(p["death"]))
-            for p in data["points"]
-        )
+        """Births and finite deaths must be finite; the essential death is the
+        string "inf"."""
+        pairs = [(float(p["birth"]), None if p["death"] == "inf" else float(p["death"])) for p in data["points"]]
+        if not all(math.isfinite(v) for pair in pairs for v in pair if v is not None):
+            raise ValueError("births and finite deaths must be finite numbers")
+        points = tuple(PersistencePoint(*pair) for pair in pairs)
         return cls(Angle.from_degrees(float(data["direction_deg"])), points)
 
 

@@ -139,7 +139,7 @@ def test_verify_reports_a_spurious_point(tmp_path):
 def test_verify_reports_mislabelled_points(tmp_path):
     truth = pl_truth(tmp_path)
     flip = {"min": "max", "max": "min"}
-    points = [dict(c, kind=flip[c["kind"]]) for c in truth["critical_points"]]
+    points = {"critical_points": [dict(c, kind=flip[c["kind"]]) for c in truth["critical_points"]]}
     status, report = verify_report(tmp_path, points, truth)
     assert status == 1 and report["matched"] == 3 and report["spurious"] == []
     assert [(m["kind"], m["recovered_kind"]) for m in report["mislabelled"]] == [
@@ -150,8 +150,9 @@ def test_verify_reports_mislabelled_points(tmp_path):
 def test_verify_matches_points_one_to_one(tmp_path):
     # both truth points lie within tol of the one recovered point: it stands
     # for the first of them only, so the second is missed
-    truth = [[0.5, 0.5], [0.5, 0.5 + 4e-7]]
-    status, report = verify_report(tmp_path, [[0.5, 0.5 + 3e-7]], truth)
+    truth = {"critical_points": [{"x": 0.5, "y": 0.5, "kind": "min"}, {"x": 0.5, "y": 0.5 + 4e-7, "kind": "min"}]}
+    points = {"critical_points": [{"x": 0.5, "y": 0.5 + 3e-7, "kind": "min"}]}
+    status, report = verify_report(tmp_path, points, truth)
     assert status == 1 and report["matched"] == 1 and report["missed"] == [[0.5, 0.5 + 4e-7]]
 
 
@@ -159,14 +160,25 @@ def test_verify_leaves_boundary_points_out(tmp_path):
     # the first and last vertices, and points of kind endpoint, are boundary
     # points on either side; a point with no kind is not mislabelled
     points = {"vertices": [[0.0, 1.0], [0.5, 0.5], [1.0, 1.0]]}
-    truth = [
-        {"x": 0.0, "y": 0.0, "kind": "endpoint"},
-        {"x": 0.5, "y": 0.5, "kind": "min"},
-        {"x": 2.0, "y": 0.0, "kind": "endpoint"},
-    ]
+    truth = {
+        "critical_points": [
+            {"x": 0.0, "y": 0.0, "kind": "endpoint"},
+            {"x": 0.5, "y": 0.5, "kind": "min"},
+            {"x": 2.0, "y": 0.0, "kind": "endpoint"},
+        ]
+    }
     status, report = verify_report(tmp_path, points, truth)
     assert status == 0 and report["ok"]
     assert (report["truth_points"], report["recovered_points"], report["matched"]) == (1, 1, 1)
+
+
+@pytest.mark.parametrize("value", ["-1", "nan"])
+def test_verify_tol_below_zero_or_not_a_number_exits_2_with_usage(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "--points", "p", "--truth", "t", "--tol", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "expected a number >= 0" in err
 
 
 def test_diagram_strict_rejects_non_admissible(tmp_path):
@@ -203,7 +215,7 @@ def test_landscape_and_reconstruct_landscapes_round_trip(tmp_path):
         "--in-function", f,
         "--out", tmp_path / "pts.json",
     ]) == 0
-    got = read_json(tmp_path / "pts.json")
+    got = read_json(tmp_path / "pts.json")["critical_points"]
     truth = read_json(tmp_path / "f.truth.json")["critical_points"]
     assert [p for p in got if p["kind"] != "endpoint"] == truth
     assert run(["verify", "--points", tmp_path / "pts.json", "--truth", tmp_path / "f.truth.json", "--tol", 0]) == 0
@@ -334,3 +346,58 @@ def test_closed_stdout_exits_quietly():
 
 def test_missing_file_is_domain_error(tmp_path):
     assert run(["diagram", "--in", tmp_path / "nope.json", "--angle-deg", 90]) == 1
+
+
+PL_FILE = {"vertices": [[0.0, 0.0], [0.5, 1.0], [1.0, 0.0]]}
+
+
+@pytest.mark.parametrize(
+    "command, contents",
+    [
+        (["diagram", "--angle-deg", 90, "--in"], {"vertices": 5}),
+        (["verify", "--truth", "f.json", "--points"], [[1]]),
+        (["landscape", "--in"], {"direction_deg": 90, "points": 3}),
+        (["reconstruct-landscapes", "--in-function", "f.json", "--in-landscapes"], {"level": 1}),
+    ],
+    ids=["diagram", "verify", "landscape", "reconstruct-landscapes"],
+)
+def test_a_file_of_the_wrong_shape_is_an_error_naming_it(tmp_path, monkeypatch, command, contents, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("f.json").write_text(json.dumps(PL_FILE))
+    Path("bad.json").write_text(json.dumps(contents))
+    assert run([*command, "bad.json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad.json: ") and "Traceback" not in err
+
+
+def diagram_file(tmp_path, points):
+    path = tmp_path / "d.json"
+    # json writes NaN and inf as the bare tokens NaN and Infinity, which it reads back
+    path.write_text(json.dumps({"direction_deg": 90.0, "points": points}))
+    return path
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        [{"birth": math.nan, "death": "inf"}],
+        [{"birth": 0.0, "death": "inf"}, {"birth": 0.5, "death": math.inf}],
+    ],
+    ids=["nan-essential-birth", "infinite-finite-death"],
+)
+def test_landscape_rejects_a_diagram_with_a_number_that_is_not_finite(tmp_path, points, capsys):
+    d = diagram_file(tmp_path, points)
+    assert run(["landscape", "--in", d, "--out", tmp_path / "l.json"]) == 1
+    assert not (tmp_path / "l.json").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "finite" in err
+
+
+def test_reconstruct_landscapes_rejects_a_nan_landscape_vertex(tmp_path, capsys):
+    (tmp_path / "l.json").write_text(json.dumps([{"level": 1, "vertices": [[0.0, 0.0], [0.5, math.nan], [1.0, 0.0]]}]))
+    (tmp_path / "f.json").write_text(json.dumps(PL_FILE))
+    assert run([
+        "reconstruct-landscapes", "--in-landscapes", tmp_path / "l.json", "--in-function", tmp_path / "f.json",
+    ]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "finite" in err

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 import persrec
 from persrec.generators import (
@@ -199,9 +200,38 @@ def test_gen_spline_is_quiet_on_the_landscape_benchmark_panel():
             gen_spline(seed, knots=56 + seed % 9, samples_per_unit=2000.0)
 
 
-def test_importing_the_package_leaves_scipy_unloaded():
-    # only gen_harmonic needs scipy, and it imports it on its first call
+def test_the_package_runs_without_scipy():
+    # scipy is a test-only oracle: with every scipy import made to fail, the
+    # package imports, generates all three families and reconstructs, and
+    # loads no scipy module
     env = dict(os.environ, PYTHONPATH=str(Path(persrec.__file__).parents[1]))
-    code = "import sys, persrec; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    code = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "import persrec\n"
+        "from persrec.generators import gen_harmonic, gen_pl, gen_spline\n"
+        "from persrec.reconstruct_smooth import five_line_reconstruct\n"
+        "f, _ = gen_harmonic(1)\n"
+        "five_line_reconstruct(f)\n"
+        "gen_spline(1)\n"
+        "gen_pl(5, 1)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' and sys.modules[m] is not None))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_gen_harmonic_truth_is_a_sign_change_of_the_derivative_and_brentqs_root(seed):
+    f, truth = gen_harmonic(seed)
+    xs = np.array([c.x for c in truth])
+    signs = [np.sign(f.derivative(x)) for x in (np.nextafter(xs, -np.inf), xs, np.nextafter(xs, np.inf))]
+    assert ((signs[0] != signs[1]) | (signs[1] != signs[2])).all()
+    # the generator's brackets: sign changes of the derivative on its grid of
+    # 200 points per cycle of the dominant term, on the unit domain
+    grid = np.linspace(0.0, 1.0, int(200 * f.omegas[0] / (2.0 * np.pi)) + 1)
+    vals = f.derivative(grid)
+    brackets = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
+    assert len(brackets) == len(xs)
+    roots = [brentq(f.derivative, grid[i], grid[i + 1], xtol=1e-15, rtol=8.9e-16) for i in brackets]
+    assert np.abs(xs - roots).max() <= 1e-15
