@@ -76,6 +76,13 @@ def _samples_per_unit(text: str) -> float:
     return value
 
 
+def _levels(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _tolerance(text: str) -> float:
     value = float(text)
     if not value >= 0:
@@ -293,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     l = sub.add_parser("landscape", help="exact persistence landscapes of a diagram file")
     l.add_argument("--in", dest="infile", required=True)
-    l.add_argument("--levels", type=int, default=10)
+    l.add_argument("--levels", type=_levels, default=10)
     l.add_argument("--out")
     l.add_argument("--emit-plot-data", metavar="PATH")
     l.set_defaults(func=cmd_landscape)

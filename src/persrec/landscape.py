@@ -23,12 +23,13 @@ zero stretches give none. Every emitted value is a critical value (a birth
 or a finite death) of the source diagram.
 
 Decoded values are matched back to the sample extrema of
-`persistence.extremal_points`, all extrema against all values in one
-broadcast comparison, so decoding shares the diagram sweep's one extremum
-rule and `critical_points`' one kind rule. A decoded value is a vertical
-projection x*cos(pi/2) + y of its extremum, so it differs from the sample
-value by rounding only; the match allows 4 eps times the largest magnitude
-of the extremal values and the domain ends, and no more.
+`persistence.extremal_points`, so decoding shares the diagram sweep's one
+extremum rule and `critical_points`' one kind rule. Each extremum is tested
+against its two neighbours among the sorted decoded values, the only ones
+that can be nearest, so memory stays linear in the input. A decoded value is
+a vertical projection x*cos(pi/2) + y of its extremum, so it differs from
+the sample value by rounding only; the match allows 4 eps times the largest
+magnitude of the extremal values and the domain ends, and no more.
 """
 
 from __future__ import annotations
@@ -157,9 +158,14 @@ def reconstruct_from_landscapes(selected: list[Landscape], samples, xs) -> list[
     decoded critical value, so several critical points sharing one y-value
     are all retrieved.
     """
-    y_values = np.array([y for l in selected if not l.is_zero for y in get_y_values(l)])
+    y_values = np.sort([y for l in selected if not l.is_zero for y in get_y_values(l)])
     points = extremal_points(xs, samples)
     ys = np.array([p.y for p in points])
     tol = 4 * np.finfo(float).eps * (np.abs(ys).max() + max(abs(xs[0]), abs(xs[-1])))
-    hit = (np.abs(y_values[None, :] - ys[:, None]) <= tol).any(axis=1)
+    if not y_values.size:
+        return []
+    # the decoded values nearest an extremum are its two neighbours in order
+    at = np.searchsorted(y_values, ys)
+    below, above = y_values[np.maximum(at - 1, 0)], y_values[np.minimum(at, y_values.size - 1)]
+    hit = (np.abs(below - ys) <= tol) | (np.abs(above - ys) <= tol)
     return [p for p, h in zip(points, hit) if h]

@@ -10,16 +10,20 @@ increasing, the T- and the R-crossings along one S-line both run left to
 right. A two-pointer merge of the two rows discards the crossing further left
 at each comparison (a tie discards the T-crossing) and stops at the first
 coincidence within match_tol inside the x window, so it needs at most
-2n log n + 2n^2 comparisons. Here the merge runs on arrays: for a block of
-S-lines, `geometry.intersect` (the one crossing formula) gives both rows, a
-stable merge gives c[i], the number of T-crossings at or left of R-crossing
-i, and R_i meets T_j exactly for j in [c[i-1], c[i]]. Only pairs closer than
-match_tol in x are tested, with the same floats as a pair-by-pair merge. The
-comparison count is read off the stop: i + j + 1 at a coincidence (i, j),
-n_r + c[n_r-1] when the R-lines run out, and n_t + i when the T-lines run out
-while R_i is current. A pair outside the x window is no coincidence: the
-merge discards its crossing further left, as at any other pair, so the window
-decides only where a line stops, never which pairs it meets.
+2n log n + 2n^2 comparisons. Here the merge is read off the stable sort of
+each line's T- and R-crossings, T first on a tie, which `geometry.intersect`
+(the one crossing formula) gives for a block of S-lines at once: step m
+discards the crossing at position m and compares R_i with T_j, i and j the
+R- and T-crossings before position m. The crossing at m is one of the two,
+so its index gives the other. A line that meets no coincidence makes
+n_t + n_r comparisons less the length of its final run of one family, which
+is left when the other family runs out. A coincidence at step m is closer
+than match_tol in x, so the crossing at position m + 1 is too; only those
+steps get the exact test, on the same floats as a pair-by-pair merge, and
+the first coincidence on a line stops it after m + 1 comparisons. A pair
+outside the x window is no coincidence: the merge discards its crossing
+further left, as at any other pair, so the window decides only where a line
+stops, never which pairs it meets.
 
 The sweep works on blocks of about `BLOCK` crossings, so its working set
 stays flat in n. One pass over every S-line at once holds a few n x n arrays:
@@ -132,68 +136,56 @@ def _sorted(values: Sequence[float], reverse: bool, counter: OpCounter | None) -
 
         def cmp(a: float, b: float) -> int:
             counter.tick()
-            return (a > b) - (a < b)
+            # ints, so numpy heights compare too (numpy bools do not subtract)
+            return int(a > b) - int(a < b)
 
         key = cmp_to_key(cmp)
     # Timsort makes the same comparisons with or without the key
     return np.array(sorted(values, key=key, reverse=reverse), dtype=float)
 
 
-def _block(ss: np.ndarray, lo: int, ts: np.ndarray, rs: np.ndarray, cfg: TripleConfig):
-    """A block of S-lines, the first of them S-line `lo`. Per line: the first
-    i with c[i] = n_t (n_r if none) and c[n_r-1]. Per R-crossing within
-    match_tol in x of T_{c[i]} (side 0) or T_{c[i]-1} (side 1): its S-line q,
-    i, j, c[i-1] and the side."""
-    k, n_t, n_r, tol = len(ss), len(ts), len(rs), cfg.match_tol
-    x_t, _ = intersect(cfg.theta1, ss[:, None], cfg.theta0, ts)
-    x_r, _ = intersect(cfg.theta1, ss[:, None], cfg.theta2, rs)
-    # a stable sort with T first puts a T-crossing equal to an R-crossing
-    # before it, so the tie counts towards c
-    order = np.argsort(np.concatenate((x_t, x_r), axis=1), axis=1, kind="stable")
-    c = np.flatnonzero(order >= n_t).reshape(k, n_r) % (n_t + n_r) - np.arange(n_r)
-    # flat[at] is T_{c[i]} on its line while c[i] < n_t; past a line's end it
-    # is the next line's first crossing or the appended inf, and masked
-    flat = np.append(x_t.ravel(), np.inf)
-    at = c + np.arange(0, k * n_t, n_t)[:, None]
-    side, q, i = np.nonzero([(c < n_t) & (flat[at] - x_r < tol), (c > 0) & (x_r - flat[at - 1] < tol)])
-    c_prev = np.where(i > 0, c[q, i - 1], 0)
-    return np.count_nonzero(c < n_t, axis=1), c[:, -1].copy(), q + lo, i, c[q, i] - side, c_prev, side
+def _block(ss: np.ndarray, ts: np.ndarray, rs: np.ndarray, cfg: TripleConfig):
+    """The merge along a block of S-lines: its comparison count and the
+    points found, at most one per S-line, in S order."""
+    n_t, n_r, tol = len(ts), len(rs), cfg.match_tol
+    x_t, y_t = intersect(cfg.theta1, ss[:, None], cfg.theta0, ts)
+    x_r, y_r = intersect(cfg.theta1, ss[:, None], cfg.theta2, rs)
+    # with no coincidence met, a line ends when one family runs out: after
+    # the last T-crossing and every R-crossing left of it, or after the last
+    # R-crossing and every T-crossing at or left of it
+    steps = np.minimum(n_t + np.count_nonzero(x_r < x_t[:, -1:], axis=1),
+                       n_r + np.count_nonzero(x_t <= x_r[:, -1:], axis=1))
+    # the merged order, T first on a tie, and the steps m, on line q, whose
+    # crossing at m + 1 is closer than tol in x; the one pair that spans two
+    # lines has m = n_t + n_r - 1, where one family has run out
+    x = np.concatenate((x_t, x_r), axis=1)
+    order = np.argsort(x, axis=1, kind="stable")
+    near = np.diff(np.sort(x, axis=1, kind="stable").ravel()) < tol
+    q, m = np.divmod(np.flatnonzero(near), n_t + n_r)
+    # step m compares R_i with T_j, and the crossing at position m is one of
+    # them; past the merge's end i = n_r or j = n_t
+    e = order[q, m]
+    i = np.where(e < n_t, m - e, e - n_t)
+    j = m - i
+    live = (i < n_r) & (j < n_t)
+    q, m, i, j = q[live], m[live], i[live], j[live]
+    # the exact test of the pair-by-pair merge, on the same floats
+    xr, yr = x_r[q, i], y_r[q, i]
+    dx, dy = xr - x_t[q, j], yr - y_t[q, j]
+    x_lo, x_hi = cfg.x_window
+    met = np.flatnonzero((dx * dx + dy * dy < tol * tol) & (x_lo <= xr) & (xr <= x_hi))
+    # in (line, step) order the first coincidence on a line stops it
+    stop = met[np.flatnonzero(np.diff(q[met], prepend=-1))]
+    steps[q[stop]] = m[stop] + 1
+    return int(steps.sum()), np.column_stack((xr[stop], yr[stop]))
 
 
 def _sweep(ss: np.ndarray, ts: np.ndarray, rs: np.ndarray, cfg: TripleConfig):
-    """The rolling-ball merge along every S-line: the total comparison count
-    and the points found, at most one per S-line, in S order."""
-    n_t, n_r, tol = len(ts), len(rs), cfg.match_tol
-    rows = max(1, BLOCK // (n_t + n_r))
-    blocks = [_block(ss[lo:lo + rows], lo, ts, rs, cfg) for lo in range(0, len(ss), rows)]
-    out, last, q, i, j, c_prev, side = (np.concatenate(a) for a in zip(*blocks))
-    # with no coincidence met, the merge ends when T or R runs out
-    steps = np.where(out < n_r, n_t + out, n_r + last)
-
-    # R_i may be within tol in x of T_{c[i]-2}, T_{c[i]-3}, ... too
-    pairs = [(q, i, j, c_prev)]
-    w = (side == 1) & (j > 0)
-    wq, wi, wj, wc = q[w], i[w], j[w] - 1, c_prev[w]
-    x_r = intersect(cfg.theta1, ss[wq], cfg.theta2, rs[wi])[0]
-    while wq.size:
-        near = x_r - intersect(cfg.theta1, ss[wq], cfg.theta0, ts[wj])[0] < tol
-        pairs.append((wq[near], wi[near], wj[near], wc[near]))
-        w = near & (wj > 0)
-        wq, wi, wj, wc, x_r = wq[w], wi[w], wj[w] - 1, wc[w], x_r[w]
-    q, i, j, c_prev = (np.concatenate(a) for a in zip(*pairs))
-
-    # the exact test of the pair-by-pair merge, on the same floats
-    xr, yr = intersect(cfg.theta1, ss[q], cfg.theta2, rs[i])
-    xt, yt = intersect(cfg.theta1, ss[q], cfg.theta0, ts[j])
-    dx, dy = xr - xt, yr - yt
-    x_lo, x_hi = cfg.x_window
-    # R_i meets T_j for j >= c[i-1]: the first coincidence inside the window
-    # that the merge meets on each line stops it there
-    met = np.flatnonzero((dx * dx + dy * dy < tol * tol) & (x_lo <= xr) & (xr <= x_hi) & (j >= c_prev))
-    met = met[np.lexsort((j[met], i[met], q[met]))]
-    stop = met[np.flatnonzero(np.diff(q[met], prepend=-1))]
-    steps[q[stop]] = i[stop] + j[stop] + 1
-    return int(steps.sum()), np.column_stack((xr[stop], yr[stop]))
+    """The rolling-ball merge along every S-line, in blocks: the total
+    comparison count and the points found, in S order."""
+    rows = max(1, BLOCK // (len(ts) + len(rs)))
+    steps, found = zip(*(_block(ss[lo:lo + rows], ts, rs, cfg) for lo in range(0, len(ss), rows)))
+    return sum(steps), np.concatenate(found)
 
 
 def rolling_ball_reconstruct(

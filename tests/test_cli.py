@@ -327,6 +327,16 @@ def test_bad_samples_per_unit_exits_2_with_usage(argv, value, capsys):
     assert err.startswith("usage:") and "expected a positive finite number" in err
 
 
+@pytest.mark.parametrize("value", ["0", "-3", "1.5", "nan"])
+def test_bad_levels_exits_2_with_usage(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["landscape", "--in", "d.json", "--levels", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "argument --levels: " in err
+    assert ("expected a positive integer" in err) == (value in ("0", "-3"))
+
+
 def test_closed_stdout_exits_quietly():
     # the output (about 0.5 MB) outgrows the pipe buffer, so the write meets
     # the closed pipe inside the command, not only at the final flush

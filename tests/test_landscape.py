@@ -15,7 +15,7 @@ from persrec.landscape import (
     landscapes_from_pairs,
     reconstruct_from_landscapes,
 )
-from persrec.persistence import CriticalKind, PLFunction, directional_diagram
+from persrec.persistence import CriticalKind, PLFunction, directional_diagram, extremal_points
 from persrec.reconstruct_smooth import pl_proxy
 
 from oracles import grid_kmax, level_decode_oracle
@@ -237,6 +237,24 @@ def test_reconstruct_reports_a_flat_final_run_as_the_right_endpoint():
         (2.0, 3.0, CriticalKind.LOCAL_MAX),
         (6.0, 0.0, CriticalKind.ENDPOINT),
     ]
+
+
+def test_decoding_a_two_thousand_sample_walk_stays_small_in_traced_memory():
+    # about 1 000 extrema and 14 000 decoded values on 28 nonzero levels:
+    # every extremum against every value would hold about 113 MB
+    ys = np.cumsum(np.random.default_rng(2000).normal(size=2000))
+    xs = np.arange(2000.0)
+    d = directional_diagram(PLFunction(xs, ys), VERTICAL)
+    levels = [l for l in landscapes(d, len(d.points)) if not l.is_zero]
+    tracemalloc.start()
+    try:
+        pts = reconstruct_from_landscapes(levels, ys, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20_000_000
+    interior = [p for p in extremal_points(xs, ys) if p.kind is not CriticalKind.ENDPOINT]
+    assert set(interior) <= set(pts)
 
 
 def test_reconstruct_from_no_landscapes_is_empty():

@@ -219,6 +219,9 @@ def test_an_out_of_window_coincidence_goes_through_the_tie_rule():
     cfg = TripleConfig.default(Point2(1.0, 0.0), Point2(2.0, 0.0))
     sorts = 1
     assert assert_equals_scan([0.0], [0.0], [0.0, 1.0], cfg) == sorts + 1
+    # the same tie at the last R-crossing: discarding T_0 there, then R_0
+    # against T_1 far right, runs the R-lines out after two steps
+    assert assert_equals_scan([0.0, -1.0], [0.0], [0.0], cfg) == sorts + 2
 
 
 def on_s_line(cfg, s, x):
@@ -244,6 +247,32 @@ def test_the_first_of_several_close_t_crossings_is_the_one_met():
     _, s, r = lines_through(cfg, [on_s_line(cfg, 0.3, 0.5)])
     sorts = 2  # T arrives sorted: one comparison per neighbour pair
     assert assert_equals_scan(t, s, r, cfg) == sorts + 1
+
+
+# crowded coincidences: heights on a quarter grid put several crossings within
+# match_tol of each other on one S-line, and lines through quarter-grid points
+# put several exact triple points on one line
+_crowd = np.random.default_rng(20261020)
+CROWDED = [tuple((_crowd.integers(-8, 9, _crowd.integers(0, 12)) / 4).tolist() for _ in range(3)) for _ in range(2000)]
+_grid = np.random.default_rng(20261021)
+GRID = [list(zip((_grid.integers(-8, 9, k) / 4).tolist(), (_grid.integers(-4, 5, k) / 4).tolist()))
+        for k in _grid.integers(0, 12, 500)]
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-2, 0.3])
+def test_rolling_ball_equals_the_scalar_sweep_on_crowded_coincidences(tol):
+    cfg = TripleConfig.default(Point2(-2.0, 0.0), Point2(2.0, 0.5), tol)
+    for t, s, r in CROWDED:
+        assert_equals_scan(t, s, r, cfg)
+    for points in GRID:
+        assert_equals_scan(*lines_through(cfg, points), cfg)
+
+
+def test_numpy_heights_count_as_lists_do():
+    cfg = TripleConfig.default(Point2(0.0, 0.5), Point2(1.0, 0.25))
+    t, s, r = [0.1, 0.2], [0.3], [0.2, 0.4]
+    as_lists = count_comparisons(rolling_ball_reconstruct, t, s, r, cfg)
+    assert count_comparisons(rolling_ball_reconstruct, np.array(t), np.array(s), np.array(r), cfg) == as_lists == 5
 
 
 def test_rolling_ball_on_four_hundred_points_stays_small_in_traced_memory():
