@@ -3,9 +3,10 @@ reconstructions into file-based pipelines.
 
 Angles are degrees everywhere on the CLI and in files. Every randomized
 command requires --seed, so identical invocations produce identical files.
-Exit codes: 0 success, 1 domain errors (e.g. a non-admissible direction under
---strict, or an input file of the wrong shape, named in the message) and,
-silently, a standard output closed by its reader, 2 argument errors.
+Every number in an input file must be finite. Exit codes: 0 success, 1 domain
+errors (e.g. a non-admissible direction under --strict, or an input file of
+the wrong shape, named in the message) and, silently, a standard output
+closed by its reader, 2 argument errors.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .persistence import (
     CriticalKind,
     CriticalPoint,
     Diagram,
+    PersistencePoint,
     PLFunction,
     critical_heights,
     directional_diagram,
@@ -32,12 +34,22 @@ from .reconstruct_pl import TripleConfig, rolling_ball_reconstruct
 from .reconstruct_smooth import SampledFunction, SmoothConfig, five_line_reconstruct, pl_proxy
 
 
+def _finite(value) -> float:
+    """value, a JSON number or a string in an input file, as a float; it must
+    be finite."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"numbers must be finite, got {number}")
+    return number
+
+
 def _load(path: str, parse):
-    """parse applied to the JSON in the file at path. A file that is not JSON
-    or whose contents parse cannot read is a ValueError naming the file."""
+    """parse applied to the JSON in the file at path, every number of which
+    is read as a finite float. A file that is not JSON, or whose contents
+    parse cannot read, is a ValueError naming the file."""
     with open(path) as fh:
         try:
-            return parse(json.load(fh))
+            return parse(json.load(fh, parse_float=_finite, parse_int=_finite, parse_constant=_finite))
         except (TypeError, KeyError, IndexError, ValueError) as exc:
             raise ValueError(f"{path}: {exc}") from exc
 
@@ -97,10 +109,47 @@ def _truth_path(out: str) -> str:
 def _load_function(data: dict):
     """Function files hold either {"vertices": [[x,y],..]} or {"xs":[..],"ys":[..]}."""
     if "vertices" in data:
-        return PLFunction.from_dict(data)
+        verts = data["vertices"]
+        return PLFunction([v[0] for v in verts], [v[1] for v in verts])
     if "xs" in data and "ys" in data:
-        return SampledFunction.from_dict(data)
+        return SampledFunction(data["xs"], data["ys"])
     raise ValueError("function file must contain either 'vertices' or 'xs'/'ys'")
+
+
+def _load_diagram(data: dict) -> Diagram:
+    """A diagram file holds {"direction_deg": deg, "points": [{"birth": b,
+    "death": d}, ..]}, where the essential point's death is the string "inf"."""
+    points = tuple(
+        PersistencePoint(_finite(p["birth"]), None if p["death"] == "inf" else _finite(p["death"]))
+        for p in data["points"]
+    )
+    return Diagram(Angle.from_degrees(_finite(data["direction_deg"])), points)
+
+
+def _load_landscapes(data: list) -> list[Landscape]:
+    """A landscapes file holds [{"level": k, "vertices": [[t, u], ..]}, ..]."""
+    return [Landscape(int(l["level"]), tuple((_finite(t), _finite(u)) for t, u in l["vertices"])) for l in data]
+
+
+def _points_to_dicts(points: list[CriticalPoint]) -> list[dict]:
+    return [{"x": p.x, "y": p.y, "kind": p.kind.value} for p in points]
+
+
+def _load_points(data: dict) -> list[tuple[float, float, str | None]]:
+    """The interior points of a points file as (x, y, kind), kind None where
+    the file gives none. A file holds {"vertices": [[x, y], ..]}, whose first
+    and last are boundary points, or {"critical_points": [..]} as
+    `_points_to_dicts` writes it, where a point of kind "endpoint" is a
+    boundary point. Boundary points are left out."""
+    if "vertices" in data:
+        return [(_finite(x), _finite(y), None) for x, y in data["vertices"][1:-1]]
+    if "critical_points" in data:
+        return [
+            (_finite(p["x"]), _finite(p["y"]), p["kind"])
+            for p in data["critical_points"]
+            if p["kind"] != CriticalKind.ENDPOINT.value
+        ]
+    raise ValueError("points file must contain either 'vertices' or 'critical_points'")
 
 
 # ---------------------------------------------------------------------------
@@ -113,8 +162,8 @@ def cmd_gen(args) -> int:
         f, truth = gen_harmonic(args.seed, args.domain, samples_per_unit=args.samples_per_unit)
     else:
         f, truth = gen_spline(args.seed, args.domain, knots=args.knots, samples_per_unit=args.samples_per_unit)
-    func_dict = f.to_dict()
     pairs = list(zip(f.xs.tolist(), f.ys.tolist()))
+    func_dict = {"vertices": pairs} if args.family == "pl" else {"xs": f.xs.tolist(), "ys": f.ys.tolist()}
 
     truth_dict = {"critical_points": _points_to_dicts(truth)}
     if args.out:
@@ -131,7 +180,11 @@ def cmd_diagram(args) -> int:
     f = _load(args.infile, _load_function)
     v = Angle.from_degrees(args.angle_deg)
     sampled = isinstance(f, SampledFunction)
-    out = directional_diagram(pl_proxy(f) if sampled else f, v).to_dict()
+    d = directional_diagram(pl_proxy(f) if sampled else f, v)
+    out = {
+        "direction_deg": args.angle_deg,
+        "points": [{"birth": p.birth, "death": "inf" if p.is_essential else p.death} for p in d.points],
+    }
     if not sampled:
         out["admissible"] = is_admissible(f, v)
         if not out["admissible"]:
@@ -143,9 +196,8 @@ def cmd_diagram(args) -> int:
 
 
 def cmd_landscape(args) -> int:
-    d = _load(args.infile, Diagram.from_dict)
-    ls = landscapes(d, args.levels)
-    _write_json([l.to_dict() for l in ls], args.out)
+    ls = landscapes(_load(args.infile, _load_diagram), args.levels)
+    _write_json([{"level": l.level, "vertices": l.vertices} for l in ls], args.out)
     if args.emit_plot_data:
         _write_plot_data(args.emit_plot_data, [list(l.vertices) for l in ls if not l.is_zero])
     return 0
@@ -153,7 +205,7 @@ def cmd_landscape(args) -> int:
 
 def cmd_reconstruct_pl(args) -> int:
     loaded = [
-        _load(path, lambda data: (Diagram.from_dict(data), data.get("admissible") is False))
+        _load(path, lambda data: (_load_diagram(data), data.get("admissible") is False))
         for path in (args.in_t, args.in_s, args.in_r)
     ]
     flagged = [name for name, (_, flag) in zip("TSR", loaded) if flag]
@@ -200,7 +252,7 @@ def cmd_reconstruct_smooth(args) -> int:
 
 
 def cmd_reconstruct_landscapes(args) -> int:
-    ls = _load(args.in_landscapes, lambda data: [Landscape.from_dict(d) for d in data])
+    ls = _load(args.in_landscapes, _load_landscapes)
     # a PL function is decoded at its own vertices, where its extrema lie
     f = _load(args.in_function, _load_function)
     points = reconstruct_from_landscapes(ls, f.ys, f.xs)
@@ -208,27 +260,6 @@ def cmd_reconstruct_landscapes(args) -> int:
     if args.emit_plot_data:
         _write_plot_data(args.emit_plot_data, [[(p.x, p.y) for p in points]])
     return 0
-
-
-def _points_to_dicts(points: list[CriticalPoint]) -> list[dict]:
-    return [{"x": p.x, "y": p.y, "kind": p.kind.value} for p in points]
-
-
-def _load_points(data: dict) -> list[tuple[float, float, str | None]]:
-    """The interior points of a points file as (x, y, kind), kind None where
-    the file gives none. A file holds {"vertices": [[x, y], ..]}, whose first
-    and last are boundary points, or {"critical_points": [..]} as
-    `_points_to_dicts` writes it, where a point of kind "endpoint" is a
-    boundary point. Boundary points are left out."""
-    if "vertices" in data:
-        return [(float(x), float(y), None) for x, y in data["vertices"][1:-1]]
-    if "critical_points" in data:
-        return [
-            (float(p["x"]), float(p["y"]), p["kind"])
-            for p in data["critical_points"]
-            if p["kind"] != CriticalKind.ENDPOINT.value
-        ]
-    raise ValueError("points file must contain either 'vertices' or 'critical_points'")
 
 
 def cmd_verify(args) -> int:

@@ -64,16 +64,6 @@ class Landscape:
         us = np.array([v[1] for v in self.vertices])
         return np.interp(t, ts, us, left=0.0, right=0.0)
 
-    def to_dict(self) -> dict:
-        return {"level": self.level, "vertices": [[t, u] for t, u in self.vertices]}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Landscape":
-        vertices = tuple((float(t), float(u)) for t, u in data["vertices"])
-        if not np.isfinite(vertices).all():
-            raise ValueError("landscape vertices must be finite numbers")
-        return cls(int(data["level"]), vertices)
-
 
 def capped_points(d: Diagram) -> list[tuple[float, float]]:
     """Finite (birth, death) pairs with the essential death capped at the

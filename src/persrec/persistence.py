@@ -80,14 +80,6 @@ class PLFunction:
     def slopes(self) -> np.ndarray:
         return np.diff(self.ys) / np.diff(self.xs)
 
-    def to_dict(self) -> dict:
-        return {"vertices": [[float(x), float(y)] for x, y in zip(self.xs, self.ys)]}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PLFunction":
-        verts = data["vertices"]
-        return cls([v[0] for v in verts], [v[1] for v in verts])
-
 
 @dataclass(frozen=True)
 class PersistencePoint:
@@ -128,25 +120,6 @@ class Diagram:
     @property
     def finite_points(self) -> list[PersistencePoint]:
         return [p for p in self.points if not p.is_essential]
-
-    def to_dict(self) -> dict:
-        return {
-            "direction_deg": self.direction.degrees,
-            "points": [
-                {"birth": p.birth, "death": "inf" if p.is_essential else p.death}
-                for p in self.points
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Diagram":
-        """Births and finite deaths must be finite; the essential death is the
-        string "inf"."""
-        pairs = [(float(p["birth"]), None if p["death"] == "inf" else float(p["death"])) for p in data["points"]]
-        if not all(math.isfinite(v) for pair in pairs for v in pair if v is not None):
-            raise ValueError("births and finite deaths must be finite numbers")
-        points = tuple(PersistencePoint(*pair) for pair in pairs)
-        return cls(Angle.from_degrees(float(data["direction_deg"])), points)
 
 
 def critical_points(f: PLFunction) -> list[CriticalPoint]:

@@ -108,13 +108,6 @@ class SampledFunction:
     def step(self) -> float:
         return float(self.xs[1] - self.xs[0])
 
-    def to_dict(self) -> dict:
-        return {"xs": self.xs.tolist(), "ys": self.ys.tolist()}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SampledFunction":
-        return cls(data["xs"], data["ys"])
-
 
 def pl_proxy(f: SampledFunction) -> PLFunction:
     """Piecewise-linear stand-in through the samples; consecutive equal values
@@ -199,6 +192,13 @@ def compute_x(x1, x2, x3, x4, m1: float, m2: float):
     return num / den
 
 
+def _distinct(heights) -> np.ndarray:
+    """The sorted distinct heights, as `np.unique` gives them; on numpy 2.4 a
+    plain `np.unique` call imports `numpy.ma` (about 9 ms) on first use."""
+    s = np.sort(heights)
+    return np.concatenate((s[:1], s[1:][s[1:] != s[:-1]]))
+
+
 def filter_and_locate(
     triangles, rr_heights, ss_heights, births, domain: tuple[float, float], step: float, cfg: SmoothConfig
 ) -> list[CriticalPoint]:
@@ -220,7 +220,7 @@ def filter_and_locate(
     """
     m1, m2 = cfg.m1, cfg.m2
     # a pair is two height values: a height listed twice is one line
-    rr, ss = np.unique(rr_heights), np.unique(ss_heights)
+    rr, ss = _distinct(rr_heights), _distinct(ss_heights)
     rows = np.reshape(triangles, (-1, 5))
     t, x1, x2 = rows[:, 0], rows[:, 3], rows[:, 4]
     k, j = _window(ss, t, m2, x1, x2)
@@ -239,10 +239,11 @@ def filter_and_locate(
     # boundary points are the caller's data, never detected here
     keep = np.flatnonzero((a + dx < x_est) & (x_est < b - dx))
     keep = keep[np.argsort(x_est[keep], kind="stable")]
-    is_min = np.isin(t, births)
+    # a set, not np.isin: on enough births, np.isin calls a plain np.unique
+    births = set(births)
     return [
-        CriticalPoint(x, y, CriticalKind.LOCAL_MIN if low else CriticalKind.LOCAL_MAX)
-        for x, y, low in zip(x_est[keep].tolist(), t[keep].tolist(), is_min[keep].tolist())
+        CriticalPoint(x, y, CriticalKind.LOCAL_MIN if y in births else CriticalKind.LOCAL_MAX)
+        for x, y in zip(x_est[keep].tolist(), t[keep].tolist())
     ]
 
 

@@ -9,7 +9,12 @@ import numpy as np
 import pytest
 
 import persrec
-from persrec.cli import main
+from persrec.cli import _load, _load_diagram, _load_function, _load_landscapes, main
+from persrec.generators import gen_harmonic, gen_pl, gen_spline
+from persrec.geometry import Angle
+from persrec.landscape import landscapes
+from persrec.persistence import PLFunction, directional_diagram
+from persrec.reconstruct_smooth import SampledFunction
 
 
 def run(argv):
@@ -172,6 +177,18 @@ def test_verify_leaves_boundary_points_out(tmp_path):
     assert (report["truth_points"], report["recovered_points"], report["matched"]) == (1, 1, 1)
 
 
+# max(0.0, nan) is 0.0, so a NaN coordinate would match any point
+@pytest.mark.parametrize("nan_in", ["points", "truth"])
+def test_verify_rejects_a_nan_coordinate_naming_its_file(tmp_path, monkeypatch, nan_in, capsys):
+    monkeypatch.chdir(tmp_path)
+    for name in ("points", "truth"):
+        y = math.nan if name == nan_in else 0.5
+        Path(f"{name}.json").write_text(json.dumps({"critical_points": [{"x": 0.5, "y": y, "kind": "min"}]}))
+    assert run(["verify", "--points", "points.json", "--truth", "truth.json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {nan_in}.json: ") and "finite" in err
+
+
 @pytest.mark.parametrize("value", ["-1", "nan"])
 def test_verify_tol_below_zero_or_not_a_number_exits_2_with_usage(value, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -199,6 +216,47 @@ def test_diagram_json_shape(tmp_path):
     deaths = [p["death"] for p in d["points"]]
     assert deaths.count("inf") == 1
     assert d["admissible"] is True
+
+
+@pytest.mark.parametrize(
+    "family, args, generated",
+    [
+        ("pl", ["--n", 5], lambda: gen_pl(5, 7)),
+        ("harmonic", ["--samples-per-unit", 200], lambda: gen_harmonic(7, samples_per_unit=200)),
+        ("spline", ["--samples-per-unit", 200, "--knots", 12], lambda: gen_spline(7, knots=12, samples_per_unit=200)),
+    ],
+    ids=["pl", "harmonic", "spline"],
+)
+def test_a_function_file_reads_back_to_the_generated_function(tmp_path, family, args, generated):
+    run(["gen", family, *args, "--seed", 7, "--out", tmp_path / "f.json"])
+    f, _ = generated()
+    g = _load(tmp_path / "f.json", _load_function)
+    assert type(g) is (PLFunction if family == "pl" else SampledFunction)
+    assert np.array_equal(f.xs, g.xs) and np.array_equal(f.ys, g.ys)
+
+
+# degrees(radians(1.5)) is 1.5000000000000002: the file keeps the angle given
+@pytest.mark.parametrize("deg", [85.0, 1.5])
+def test_a_diagram_file_reads_back_to_the_diagram_at_the_angle_given(tmp_path, deg):
+    f = tmp_path / "f.json"
+    f.write_text(json.dumps({"vertices": [[0.0, 2.5], [0.5, 4.0], [2.0, 0.5], [4.0, 2.5]]}))
+    assert run(["diagram", "--in", f, "--angle-deg", deg, "--out", tmp_path / "d.json"]) == 0
+    data = read_json(tmp_path / "d.json")
+    assert data["direction_deg"] == deg
+    assert sum(p["death"] == "inf" for p in data["points"]) == 1
+    d = _load(tmp_path / "d.json", _load_diagram)
+    assert d.direction == Angle.from_degrees(deg)
+    assert d.points == directional_diagram(_load(f, _load_function), Angle.from_degrees(deg)).points
+
+
+def test_a_landscapes_file_reads_back_to_the_landscapes(tmp_path):
+    # 8 levels of a diagram with 4 finite points: the last ones are zero
+    run(["gen", "pl", "--n", 6, "--seed", 8, "--out", tmp_path / "f.json"])
+    run(["diagram", "--in", tmp_path / "f.json", "--angle-deg", 90, "--out", tmp_path / "d.json"])
+    assert run(["landscape", "--in", tmp_path / "d.json", "--levels", 8, "--out", tmp_path / "l.json"]) == 0
+    ls = _load(tmp_path / "l.json", _load_landscapes)
+    assert ls == landscapes(_load(tmp_path / "d.json", _load_diagram), 8)
+    assert ls[-1].is_zero
 
 
 def test_landscape_and_reconstruct_landscapes_round_trip(tmp_path):
@@ -359,6 +417,7 @@ def test_missing_file_is_domain_error(tmp_path):
 
 
 PL_FILE = {"vertices": [[0.0, 0.0], [0.5, 1.0], [1.0, 0.0]]}
+HUGE = 10**400
 
 
 @pytest.mark.parametrize(
@@ -368,8 +427,18 @@ PL_FILE = {"vertices": [[0.0, 0.0], [0.5, 1.0], [1.0, 0.0]]}
         (["verify", "--truth", "f.json", "--points"], [[1]]),
         (["landscape", "--in"], {"direction_deg": 90, "points": 3}),
         (["reconstruct-landscapes", "--in-function", "f.json", "--in-landscapes"], {"level": 1}),
+        # an integer literal past the float range, read as a float, is not finite
+        (["diagram", "--angle-deg", 90, "--in"], {"vertices": [[0, 0], [1, HUGE], [2, 0]]}),
+        (["verify", "--truth", "f.json", "--points"], {"vertices": [[0, 0], [1, HUGE], [2, 0]]}),
+        (["landscape", "--in"], {"direction_deg": 90, "points": [{"birth": HUGE, "death": "inf"}]}),
+        (["reconstruct-landscapes", "--in-function", "f.json", "--in-landscapes"], [{"level": 1, "vertices": [[0, 0], [HUGE, 0]]}]),
+        (["reconstruct-smooth", "--in"], {"xs": [0, 1, 2], "ys": [0, HUGE, 0]}),
     ],
-    ids=["diagram", "verify", "landscape", "reconstruct-landscapes"],
+    ids=[
+        "diagram", "verify", "landscape", "reconstruct-landscapes",
+        "diagram-huge-int", "verify-huge-int", "landscape-huge-int", "reconstruct-landscapes-huge-int",
+        "reconstruct-smooth-huge-int",
+    ],
 )
 def test_a_file_of_the_wrong_shape_is_an_error_naming_it(tmp_path, monkeypatch, command, contents, capsys):
     monkeypatch.chdir(tmp_path)
@@ -392,8 +461,9 @@ def diagram_file(tmp_path, points):
     [
         [{"birth": math.nan, "death": "inf"}],
         [{"birth": 0.0, "death": "inf"}, {"birth": 0.5, "death": math.inf}],
+        [{"birth": "nan", "death": "inf"}],
     ],
-    ids=["nan-essential-birth", "infinite-finite-death"],
+    ids=["nan-essential-birth", "infinite-finite-death", "nan-string-birth"],
 )
 def test_landscape_rejects_a_diagram_with_a_number_that_is_not_finite(tmp_path, points, capsys):
     d = diagram_file(tmp_path, points)

@@ -221,6 +221,32 @@ def test_the_package_runs_without_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_no_operation_path_loads_numpy_ma():
+    # a plain np.unique imports numpy.ma on its first call (about 9 ms on
+    # numpy 2.4), which would land in the first operation of a path; seed 31
+    # has enough births for np.isin to take its np.unique branch
+    env = dict(os.environ, PYTHONPATH=str(Path(persrec.__file__).parents[1]))
+    code = (
+        "import sys\n"
+        "from persrec.generators import gen_harmonic, gen_pl\n"
+        "from persrec.geometry import Angle, Point2\n"
+        "from persrec.landscape import landscapes, reconstruct_from_landscapes\n"
+        "from persrec.persistence import critical_heights, directional_diagram\n"
+        "from persrec.reconstruct_pl import TripleConfig, rolling_ball_reconstruct\n"
+        "from persrec.reconstruct_smooth import five_line_reconstruct\n"
+        "f, _ = gen_pl(6, 1)\n"
+        "ds = [directional_diagram(f, Angle.from_degrees(deg)) for deg in (90, 85, 80)]\n"
+        "ends = Point2(f.xs[0], f.ys[0]), Point2(f.xs[-1], f.ys[-1])\n"
+        "rolling_ball_reconstruct(*map(critical_heights, ds), TripleConfig(*(d.direction for d in ds), *ends))\n"
+        "reconstruct_from_landscapes(landscapes(ds[0], 10), f.ys, f.xs)\n"
+        "five_line_reconstruct(gen_harmonic(31)[0])\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
 @pytest.mark.parametrize("seed", range(30))
 def test_gen_harmonic_truth_is_a_sign_change_of_the_derivative_and_brentqs_root(seed):
     f, truth = gen_harmonic(seed)

@@ -98,11 +98,6 @@ def test_landscapes_of_a_hundred_pairs_stay_small_in_traced_memory():
     assert peak < 2_000_000
 
 
-def test_landscape_json_round_trip():
-    (l1,) = landscapes_from_pairs([(0.0, 6.0), (3.0, 10.0)], 1)
-    assert Landscape.from_dict(l1.to_dict()) == l1
-
-
 def test_capped_essential_defaults_to_max_height():
     d = directional_diagram(PLFunction([0.0, 0.5, 2.0, 4.0], [2.5, 4.0, 0.5, 2.5]), VERTICAL)
     pairs = capped_points(d)

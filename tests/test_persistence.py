@@ -54,12 +54,6 @@ def test_plfunction_rejects_single_vertex():
         PLFunction([0.0], [1.0])
 
 
-def test_plfunction_json_round_trip():
-    f = fig_function()
-    g = PLFunction.from_dict(f.to_dict())
-    assert np.array_equal(f.xs, g.xs) and np.array_equal(f.ys, g.ys)
-
-
 # ---------------------------------------------------------------------------
 # critical points
 
@@ -135,15 +129,6 @@ def test_diagram_requires_exactly_one_essential():
         Diagram(VERTICAL, (PersistencePoint(0.0, 1.0),))
     with pytest.raises(ValueError):
         Diagram(VERTICAL, (PersistencePoint(0.0, None), PersistencePoint(1.0, None)))
-
-
-def test_diagram_json_round_trip_keeps_infinite_death():
-    d = directional_diagram(fig_function(), Angle.from_degrees(85.0))
-    data = d.to_dict()
-    assert data["direction_deg"] == pytest.approx(85.0)
-    assert sum(p["death"] == "inf" for p in data["points"]) == 1
-    d2 = Diagram.from_dict(data)
-    assert as_pairs(d2) == as_pairs(d)
 
 
 # ---------------------------------------------------------------------------
