@@ -311,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     for family in ("pl", "harmonic", "spline"):
         g = gsub.add_parser(family)
         g.add_argument("--seed", type=int, required=True)
-        g.add_argument("--domain", type=_parse_pair, default="0,1", help="a,b (default 0,1)")
+        g.add_argument("--domain", type=_parse_pair, default="0,1", help="a,b (default 0,1); --domain=-1,1 for a < 0")
         g.add_argument("--out", help="function JSON path; truth goes to <out>.truth.json")
         g.add_argument("--emit-plot-data", metavar="PATH", help="write plain x,y columns")
         if family == "pl":
@@ -340,8 +340,12 @@ def build_parser() -> argparse.ArgumentParser:
     rp.add_argument("--in-t", required=True, help="diagram for the steepest direction (e.g. 90 deg)")
     rp.add_argument("--in-s", required=True, help="diagram for the middle direction (e.g. 85 deg)")
     rp.add_argument("--in-r", required=True, help="diagram for the shallowest direction (e.g. 80 deg)")
-    rp.add_argument("--start", type=_parse_pair, required=True, help="x,y of the left boundary point")
-    rp.add_argument("--end", type=_parse_pair, required=True, help="x,y of the right boundary point")
+    rp.add_argument(
+        "--start", type=_parse_pair, required=True, help="x,y of the left boundary point; --start=-1,0 for x < 0"
+    )
+    rp.add_argument(
+        "--end", type=_parse_pair, required=True, help="x,y of the right boundary point; --end=-1,0 for x < 0"
+    )
     rp.add_argument("--match-tol", type=float, default=TripleConfig.match_tol)
     rp.add_argument("--strict", action="store_true")
     rp.add_argument("--out")

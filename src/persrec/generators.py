@@ -17,12 +17,23 @@ import warnings
 
 import numpy as np
 
-from .persistence import CriticalKind, CriticalPoint, PLFunction, critical_points
+from .persistence import CriticalKind, CriticalPoint, PLFunction, checked_domain, checked_points, critical_points
 from .reconstruct_smooth import SampledFunction, uniform_grid
 
 
 class GenerationExhausted(RuntimeError):
     """Rejection sampling failed to produce an acceptable draw."""
+
+
+class GeneratedSignal(SampledFunction):
+    """An exact function sampled on a grid; the function stays as `exact`
+    for oracle queries (its derivatives, its values off the grid)."""
+
+    __slots__ = ("exact",)
+
+    def __init__(self, xs, exact):
+        super().__init__(xs, exact(xs))
+        self.exact = exact
 
 
 # ---------------------------------------------------------------------------
@@ -46,9 +57,7 @@ def gen_pl(n: int, seed: int, domain: tuple[float, float] = (0.0, 1.0)) -> tuple
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    a, b = float(domain[0]), float(domain[1])
-    if not a < b:
-        raise ValueError("domain must satisfy a < b")
+    a, b = checked_domain(domain)
     if n > _X_STEPS - 1 or n > _BAND_LEVELS - 2:
         raise ValueError(f"n={n} too large for the generator grids")
 
@@ -57,25 +66,14 @@ def gen_pl(n: int, seed: int, domain: tuple[float, float] = (0.0, 1.0)) -> tuple
     xs_interior = a + (b - a) * ks / _X_STEPS
 
     first_is_max = bool(rng.integers(0, 2))
-    kinds = [
-        CriticalKind.LOCAL_MAX if (i % 2 == 0) == first_is_max else CriticalKind.LOCAL_MIN
-        for i in range(n)
-    ]
+    is_max = (np.arange(n) % 2 == 0) == first_is_max
+    kinds = [CriticalKind.LOCAL_MAX if m else CriticalKind.LOCAL_MIN for m in is_max]
     # endpoints take the band opposite to the adjacent critical point
-    left_low = kinds[0] is CriticalKind.LOCAL_MAX
-    right_low = kinds[-1] is CriticalKind.LOCAL_MAX
-
-    n_high = sum(k is CriticalKind.LOCAL_MAX for k in kinds) + (not left_low) + (not right_low)
-    n_low = (n + 2) - n_high
-    lows = list(rng.choice(_LOW_BAND, size=n_low, replace=False))
-    highs = list(rng.choice(_HIGH_BAND, size=n_high, replace=False))
-
-    def take(low: bool) -> float:
-        return float(lows.pop() if low else highs.pop())
-
-    ys = [take(left_low)]
-    ys += [take(k is CriticalKind.LOCAL_MIN) for k in kinds]
-    ys.append(take(right_low))
+    low = np.concatenate(([is_max[0]], ~is_max, [is_max[-1]]))
+    # each band's draws fill its places from the right
+    ys = np.empty(n + 2)
+    ys[low] = rng.choice(_LOW_BAND, size=low.sum(), replace=False)[::-1]
+    ys[~low] = rng.choice(_HIGH_BAND, size=(~low).sum(), replace=False)[::-1]
 
     f = PLFunction(np.concatenate([[a], xs_interior, [b]]), ys)
     truth = [CriticalPoint(float(x), float(y), k) for x, y, k in zip(xs_interior, ys[1:-1], kinds)]
@@ -87,7 +85,8 @@ def gen_pl(n: int, seed: int, domain: tuple[float, float] = (0.0, 1.0)) -> tuple
 # harmonic family
 
 class SineSum:
-    """Sum of terms a*sin(w*(x - offset) + p) with its analytic derivatives."""
+    """Sum of terms a*sin(w*(x - offset) + p) with its analytic derivatives;
+    amps, omegas and phases are arrays of one length."""
 
     def __init__(self, amps, omegas, phases, offset):
         self.amps = amps
@@ -95,25 +94,18 @@ class SineSum:
         self.phases = phases
         self.offset = offset
 
-    def value(self, x):
+    def _series(self, x, coefs, wave):
         y = x - self.offset
-        return sum(a * np.sin(w * y + p) for a, w, p in zip(self.amps, self.omegas, self.phases))
+        return sum(c * wave(w * y + p) for c, w, p in zip(coefs, self.omegas, self.phases))
+
+    def __call__(self, x):
+        return self._series(x, self.amps, np.sin)
 
     def derivative(self, x):
-        y = x - self.offset
-        return sum(a * w * np.cos(w * y + p) for a, w, p in zip(self.amps, self.omegas, self.phases))
+        return self._series(x, self.amps * self.omegas, np.cos)
 
     def second_derivative(self, x):
-        y = x - self.offset
-        return sum(-a * w * w * np.sin(w * y + p) for a, w, p in zip(self.amps, self.omegas, self.phases))
-
-
-class HarmonicFunction(SampledFunction, SineSum):
-    """A sum of sines sampled on a grid by its own `value`."""
-
-    def __init__(self, xs, amps, omegas, phases, offset):
-        SineSum.__init__(self, amps, omegas, phases, offset)
-        SampledFunction.__init__(self, xs, self.value(xs))
+        return self._series(x, -self.amps * self.omegas * self.omegas, np.sin)
 
 
 def _bisect(fn, lo, hi):
@@ -141,7 +133,7 @@ def gen_harmonic(
     target_range: tuple[int, int] = (20, 30),
     samples_per_unit: float = 10_000.0,
     max_attempts: int = 1000,
-) -> tuple[HarmonicFunction, list[CriticalPoint]]:
+) -> tuple[GeneratedSignal, list[CriticalPoint]]:
     """Random sine combination with an interior critical count in target_range.
 
     Draws a dominant frequency plus two weaker lower-frequency terms
@@ -152,9 +144,8 @@ def gen_harmonic(
     accepted count has its ground truth solved, by one bisection of all those
     brackets at once, each down to adjacent floats.
     """
-    a, b = float(domain[0]), float(domain[1])
-    if not a < b:
-        raise ValueError("domain must satisfy a < b")
+    a, b = checked_domain(domain)
+    xs = uniform_grid((a, b), samples_per_unit)
     width = b - a
     lo, hi = target_range
     rng = np.random.default_rng(seed)
@@ -186,9 +177,9 @@ def gen_harmonic(
         if np.min(np.abs(curvatures)) < _MIN_CURVATURE:
             continue
 
-        func = HarmonicFunction(uniform_grid((a, b), samples_per_unit), amps, omegas, phases, a)
+        func = GeneratedSignal(xs, sines)
         truth = [
-            CriticalPoint(float(x), float(sines.value(x)), CriticalKind.LOCAL_MAX if c < 0 else CriticalKind.LOCAL_MIN)
+            CriticalPoint(float(x), float(sines(x)), CriticalKind.LOCAL_MAX if c < 0 else CriticalKind.LOCAL_MIN)
             for x, c in zip(roots, curvatures)
         ]
         return func, truth
@@ -204,12 +195,7 @@ class NaturalCubicSpline:
     at both ends), solved with the Thomas tridiagonal algorithm."""
 
     def __init__(self, xs, ys):
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        if len(xs) < 3 or xs.shape != ys.shape:
-            raise ValueError("need at least 3 knots with matching values")
-        if not (np.diff(xs) > 0).all():
-            raise ValueError("knots must be strictly increasing")
+        xs, ys = checked_points(xs, ys, 3)
         self.xs = xs
         self.ys = ys
         n = len(xs)
@@ -236,15 +222,15 @@ class NaturalCubicSpline:
         self.m2 = np.concatenate([[0.0], sol, [0.0]])  # second derivatives at knots
         self.h = h
 
-    def _segment(self, x):
-        return np.clip(np.searchsorted(self.xs, x, side="right") - 1, 0, len(self.xs) - 2)
+    def _local(self, x):
+        """For each x: its segment i (the end ones extended), the segment's
+        width h, and the distances u, v from x to the segment's two knots."""
+        x = np.asarray(x, dtype=float)
+        i = np.clip(np.searchsorted(self.xs, x, side="right") - 1, 0, len(self.xs) - 2)
+        return i, self.h[i], x - self.xs[i], self.xs[i + 1] - x
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        i = self._segment(x)
-        h = self.h[i]
-        u = x - self.xs[i]
-        v = self.xs[i + 1] - x
+        i, h, u, v = self._local(x)
         return (
             self.m2[i] * v**3 / (6.0 * h)
             + self.m2[i + 1] * u**3 / (6.0 * h)
@@ -253,11 +239,7 @@ class NaturalCubicSpline:
         )
 
     def derivative(self, x):
-        x = np.asarray(x, dtype=float)
-        i = self._segment(x)
-        h = self.h[i]
-        u = x - self.xs[i]
-        v = self.xs[i + 1] - x
+        i, h, u, v = self._local(x)
         return (
             -self.m2[i] * v**2 / (2.0 * h)
             + self.m2[i + 1] * u**2 / (2.0 * h)
@@ -266,9 +248,8 @@ class NaturalCubicSpline:
         )
 
     def second_derivative(self, x):
-        x = np.asarray(x, dtype=float)
-        i = self._segment(x)
-        return (self.m2[i] * (self.xs[i + 1] - x) + self.m2[i + 1] * (x - self.xs[i])) / self.h[i]
+        i, h, u, v = self._local(x)
+        return (self.m2[i] * v + self.m2[i + 1] * u) / h
 
     def critical_points(self) -> list[CriticalPoint]:
         """Interior local extrema from the exact quadratic derivative roots of
@@ -320,22 +301,12 @@ def _quadratic_roots(a: float, b: float, c: float) -> list[float]:
     return roots
 
 
-class SplineFunction(SampledFunction):
-    """Sampled cubic spline that keeps the exact spline for oracle queries."""
-
-    __slots__ = ("spline",)
-
-    def __init__(self, xs, ys, spline: NaturalCubicSpline):
-        super().__init__(xs, ys)
-        self.spline = spline
-
-
 def gen_spline(
     seed: int,
     domain: tuple[float, float] = (0.0, 1.0),
     knots: int = 30,
     samples_per_unit: float = 10_000.0,
-) -> tuple[SplineFunction, list[CriticalPoint]]:
+) -> tuple[GeneratedSignal, list[CriticalPoint]]:
     """Natural cubic spline through uniformly spaced random-height knots.
 
     Warns when two critical points of the truth lie closer than one sample
@@ -344,15 +315,11 @@ def gen_spline(
     """
     if knots < 4:
         raise ValueError("need at least 4 knots")
-    a, b = float(domain[0]), float(domain[1])
-    if not a < b:
-        raise ValueError("domain must satisfy a < b")
-    rng = np.random.default_rng(seed)
-    knot_xs = np.linspace(a, b, knots)
-    knot_ys = rng.uniform(0.0, 1.0, knots)
-    spline = NaturalCubicSpline(knot_xs, knot_ys)
+    a, b = checked_domain(domain)
     xs = uniform_grid((a, b), samples_per_unit)
-    func = SplineFunction(xs, spline(xs), spline)
+    rng = np.random.default_rng(seed)
+    spline = NaturalCubicSpline(np.linspace(a, b, knots), rng.uniform(0.0, 1.0, knots))
+    func = GeneratedSignal(xs, spline)
     truth = spline.critical_points()
     gap = min(np.diff([c.x for c in truth]), default=math.inf)
     if gap < func.step:

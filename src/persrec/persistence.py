@@ -45,27 +45,44 @@ class CriticalPoint:
     kind: CriticalKind
 
 
+def checked_points(xs: Iterable[float], ys: Iterable[float], least: int) -> tuple[np.ndarray, np.ndarray]:
+    """The point rule of every function type: xs and ys as float 1-d arrays
+    of one length, with at least `least` points, all finite, and x strictly
+    increasing."""
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    if xs.ndim != 1 or xs.shape != ys.shape:
+        raise ValueError("xs and ys must be 1-d arrays of equal length")
+    if len(xs) < least:
+        raise ValueError(f"need at least {least} points, got {len(xs)}")
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise ValueError("coordinates must be finite")
+    if not (np.diff(xs) > 0).all():
+        raise ValueError("x-coordinates must be strictly increasing")
+    return xs, ys
+
+
+def checked_domain(domain: tuple[float, float]) -> tuple[float, float]:
+    """The domain rule of every generated function: (a, b) as floats, with
+    a < b and a finite width b - a."""
+    a, b = float(domain[0]), float(domain[1])
+    if not (a < b and math.isfinite(b - a)):
+        raise ValueError(f"domain must satisfy a < b with b - a finite, got ({a!r}, {b!r})")
+    return a, b
+
+
 class PLFunction:
     """Continuous piecewise-linear function given by its ordered vertex list.
 
-    Invariants enforced at construction: at least two vertices, strictly
-    increasing x-coordinates, and no horizontal segment (consecutive y values
-    differ). Vertices are held as numpy arrays xs, ys.
+    Invariants enforced at construction: the point rule of `checked_points`
+    with at least two vertices, and no horizontal segment (consecutive y
+    values differ). Vertices are held as numpy arrays xs, ys.
     """
 
     __slots__ = ("xs", "ys")
 
     def __init__(self, xs: Iterable[float], ys: Iterable[float]):
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        if xs.ndim != 1 or xs.shape != ys.shape:
-            raise ValueError("xs and ys must be 1-d arrays of equal length")
-        if len(xs) < 2:
-            raise ValueError("a PL function needs at least 2 vertices")
-        if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
-            raise ValueError("vertex coordinates must be finite")
-        if not (np.diff(xs) > 0).all():
-            raise ValueError("vertex x-coordinates must be strictly increasing")
+        xs, ys = checked_points(xs, ys, 2)
         if (np.diff(ys) == 0).any():
             raise ValueError("horizontal segments are not allowed")
         self.xs = xs
@@ -73,9 +90,6 @@ class PLFunction:
 
     def __len__(self) -> int:
         return len(self.xs)
-
-    def __call__(self, x):
-        return np.interp(x, self.xs, self.ys)
 
     def slopes(self) -> np.ndarray:
         return np.diff(self.ys) / np.diff(self.xs)

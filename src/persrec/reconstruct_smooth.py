@@ -34,6 +34,8 @@ from .persistence import (
     CriticalKind,
     CriticalPoint,
     PLFunction,
+    checked_domain,
+    checked_points,
     critical_heights,
     directional_diagram,
 )
@@ -72,29 +74,26 @@ class SmoothConfig:
 
 
 def uniform_grid(domain: tuple[float, float], samples_per_unit: float) -> np.ndarray:
-    """Uniform grid over domain with about samples_per_unit steps per unit
-    length, and at least its two ends."""
+    """Uniform grid over domain, which must pass `checked_domain`, with about
+    samples_per_unit steps per unit length, and at least its two ends."""
+    a, b = checked_domain(domain)
     if not (math.isfinite(samples_per_unit) and samples_per_unit > 0):
         raise ValueError(f"samples_per_unit must be positive and finite, got {samples_per_unit!r}")
-    a, b = domain
-    return np.linspace(a, b, max(2, int(round((b - a) * samples_per_unit)) + 1))
+    steps = (b - a) * samples_per_unit
+    if not math.isfinite(steps):
+        raise ValueError(f"samples_per_unit={samples_per_unit!r} over a width of {b - a!r} is past the float range")
+    return np.linspace(a, b, max(2, int(round(steps)) + 1))
 
 
 class SampledFunction:
-    """A function known only through values on a uniform x-grid."""
+    """A function known only through values on a uniform x-grid: the point
+    rule of `checked_points` with at least two samples, and equal steps."""
 
     __slots__ = ("xs", "ys")
 
     def __init__(self, xs, ys):
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        if xs.ndim != 1 or xs.shape != ys.shape or len(xs) < 2:
-            raise ValueError("need equal-length 1-d arrays with at least 2 samples")
-        if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
-            raise ValueError("samples must be finite")
+        xs, ys = checked_points(xs, ys, 2)
         steps = np.diff(xs)
-        if not (steps > 0).all():
-            raise ValueError("grid must be strictly increasing")
         if np.max(np.abs(steps - steps[0])) > 1e-9 * (xs[-1] - xs[0]):
             raise ValueError("grid must be uniform")
         self.xs = xs

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import persrec
-from persrec.cli import _load, _load_diagram, _load_function, _load_landscapes, main
+from persrec.cli import _load, _load_diagram, _load_function, _load_landscapes, build_parser, main
 from persrec.generators import gen_harmonic, gen_pl, gen_spline
 from persrec.geometry import Angle
 from persrec.landscape import landscapes
@@ -368,6 +368,32 @@ def test_malformed_pair_exits_2_with_usage(argv, capsys):
     assert err.startswith("usage:") and "expected 'a,b'" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "spline", "--seed", 1, "--domain", "0,1e308"],
+        ["gen", "harmonic", "--seed", 1, "--samples-per-unit", 1e308, "--domain", "0,10"],
+        ["gen", "harmonic", "--seed", 1, "--domain", "0,inf"],
+        ["gen", "spline", "--seed", 1, "--domain", "0,inf"],
+    ],
+    ids=["spline-count-past-float-range", "harmonic-count-past-float-range", "harmonic-infinite-end", "spline-infinite-end"],
+)
+def test_a_domain_or_grid_past_the_float_range_is_an_error(argv, capsys):
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_a_negative_pair_parses_after_an_equals_sign():
+    # argparse reads "-1,1" after a space as an option, so the help says to use "="
+    gen = build_parser().parse_args(["gen", "pl", "--seed", "1", "--n", "3", "--domain=-1,1"])
+    assert gen.domain == (-1.0, 1.0)
+    rp = build_parser().parse_args(
+        ["reconstruct-pl", "--in-t", "t", "--in-s", "s", "--in-r", "r", "--start=-1,0.5", "--end=1,-2"]
+    )
+    assert (rp.start, rp.end) == ((-1.0, 0.5), (1.0, -2.0))
+
+
 @pytest.mark.parametrize("value", ["0", "-5", "nan", "inf"])
 @pytest.mark.parametrize(
     "argv",
@@ -407,7 +433,8 @@ def test_closed_stdout_exits_quietly():
     )
     assert len(proc.stdout.read(100)) == 100
     proc.stdout.close()
-    err = proc.stderr.read()
+    with proc.stderr:
+        err = proc.stderr.read()
     assert proc.wait(timeout=60) == 1
     assert err == b""
 

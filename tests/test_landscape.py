@@ -26,7 +26,7 @@ VERTICAL = Angle(math.pi / 2)
 def fig_samples(n=401):
     f = PLFunction([0.0, 0.5, 2.0, 4.0], [2.5, 4.0, 0.5, 2.5])
     xs = np.linspace(0.0, 4.0, n)
-    return xs, f(xs)
+    return xs, np.interp(xs, f.xs, f.ys)
 
 
 # ---------------------------------------------------------------------------

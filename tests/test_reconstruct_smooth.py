@@ -73,6 +73,16 @@ def test_uniform_grid_rejects_samples_per_unit_that_is_not_positive_and_finite(s
         uniform_grid((0.0, 1.0), spu)
 
 
+@pytest.mark.parametrize(
+    "domain, spu",
+    [((0.0, 10.0), 1e308), ((0.0, 1e308), 1e4), ((0.0, math.inf), 1e4), ((math.nan, 1.0), 1e4), ((1.0, 0.0), 1e4)],
+    ids=["count-past-float-range", "width-times-count-past-float-range", "infinite-end", "nan-start", "reversed"],
+)
+def test_uniform_grid_rejects_a_domain_or_count_past_the_float_range(domain, spu):
+    with pytest.raises(ValueError):
+        uniform_grid(domain, spu)
+
+
 def test_sampled_function_requires_uniform_grid():
     with pytest.raises(ValueError):
         SampledFunction([0.0, 0.1, 0.3], [0.0, 1.0, 2.0])
