@@ -17,6 +17,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from .generators import gen_harmonic, gen_pl, gen_spline
 from .geometry import Angle, Point2
 from .landscape import Landscape, landscapes, reconstruct_from_landscapes
@@ -97,8 +99,9 @@ def _levels(text: str) -> int:
 
 def _tolerance(text: str) -> float:
     value = float(text)
-    if not value >= 0:
-        raise argparse.ArgumentTypeError(f"expected a number >= 0, got {text!r}")
+    # an infinite tolerance would match any point to any other
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
     return value
 
 
@@ -127,28 +130,41 @@ def _load_diagram(data: dict) -> Diagram:
 
 
 def _load_landscapes(data: list) -> list[Landscape]:
-    """A landscapes file holds [{"level": k, "vertices": [[t, u], ..]}, ..]."""
-    return [Landscape(int(l["level"]), tuple((_finite(t), _finite(u)) for t, u in l["vertices"])) for l in data]
+    """A landscapes file holds [{"level": k, "vertices": [[t, u], ..]}, ..].
+    A nonzero level must be a landscape as `Landscape` states it: t never
+    decreases, u >= 0 with u = 0 at both ends, and every piece has slope -1,
+    0 or +1, within 4 eps times the level's largest |t| or |u|."""
+    ls = [Landscape(int(l["level"]), tuple((_finite(t), _finite(u)) for t, u in l["vertices"])) for l in data]
+    for l in ls:
+        if l.is_zero:
+            continue
+        t, u = np.array(l.vertices).T
+        dt, du = np.diff(t), np.abs(np.diff(u))
+        if np.any(dt < 0):
+            raise ValueError(f"level {l.level}: t decreases")
+        if np.any(u < 0) or u[0] != 0 or u[-1] != 0:
+            raise ValueError(f"level {l.level}: u must be >= 0, and 0 at both ends")
+        if np.any(np.minimum(du, np.abs(du - dt)) > 4 * np.finfo(float).eps * np.abs(l.vertices).max()):
+            raise ValueError(f"level {l.level}: a piece has a slope other than -1, 0 or +1")
+    return ls
 
 
 def _points_to_dicts(points: list[CriticalPoint]) -> list[dict]:
     return [{"x": p.x, "y": p.y, "kind": p.kind.value} for p in points]
 
 
-def _load_points(data: dict) -> list[tuple[float, float, str | None]]:
+def _load_points(data: dict) -> list[tuple[float, float, CriticalKind | None]]:
     """The interior points of a points file as (x, y, kind), kind None where
     the file gives none. A file holds {"vertices": [[x, y], ..]}, whose first
     and last are boundary points, or {"critical_points": [..]} as
     `_points_to_dicts` writes it, where a point of kind "endpoint" is a
-    boundary point. Boundary points are left out."""
+    boundary point. Boundary points are left out; a kind that is no
+    `CriticalKind` value is an error."""
     if "vertices" in data:
         return [(_finite(x), _finite(y), None) for x, y in data["vertices"][1:-1]]
     if "critical_points" in data:
-        return [
-            (_finite(p["x"]), _finite(p["y"]), p["kind"])
-            for p in data["critical_points"]
-            if p["kind"] != CriticalKind.ENDPOINT.value
-        ]
+        points = [(_finite(p["x"]), _finite(p["y"]), CriticalKind(p["kind"])) for p in data["critical_points"]]
+        return [p for p in points if p[2] is not CriticalKind.ENDPOINT]
     raise ValueError("points file must contain either 'vertices' or 'critical_points'")
 
 
@@ -279,8 +295,8 @@ def cmd_verify(args) -> int:
             continue
         free.remove(k)
         got = recovered[k][2]
-        if kind and got and got != kind:
-            mislabelled.append({"x": tx, "y": ty, "kind": kind, "recovered_kind": got})
+        if kind and got and got is not kind:
+            mislabelled.append({"x": tx, "y": ty, "kind": kind.value, "recovered_kind": got.value})
     spurious = [list(recovered[k][:2]) for k in sorted(free)]
     report = {
         "truth_points": len(truth),

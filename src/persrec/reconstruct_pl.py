@@ -9,26 +9,30 @@ triple search here. With the T-heights sorted decreasing and the R-heights
 increasing, the T- and the R-crossings along one S-line both run left to
 right. A two-pointer merge of the two rows discards the crossing further left
 at each comparison (a tie discards the T-crossing) and stops at the first
-coincidence within match_tol inside the x window, so it needs at most
-2n log n + 2n^2 comparisons. Here the merge is read off the stable sort of
-each line's T- and R-crossings, T first on a tie, which `geometry.intersect`
-(the one crossing formula) gives for a block of S-lines at once: step m
-discards the crossing at position m and compares R_i with T_j, i and j the
-R- and T-crossings before position m. The crossing at m is one of the two,
-so its index gives the other. A line that meets no coincidence makes
-n_t + n_r comparisons less the length of its final run of one family, which
-is left when the other family runs out. A coincidence at step m is closer
-than match_tol in x, so the crossing at position m + 1 is too; only those
-steps get the exact test, on the same floats as a pair-by-pair merge, and
-the first coincidence on a line stops it after m + 1 comparisons. A pair
+coincidence within match_tol inside the x window. Here the merge is read off
+the stable sort of each line's T- and R-crossings, T first on a tie, which
+`geometry.intersect` (the one crossing formula) gives for a block of S-lines
+at once: step m discards the crossing at position m and compares R_i with
+T_j, i and j the R- and T-crossings before position m. The crossing at m is
+one of the two, so its index gives the other. A coincidence at step m is
+closer than match_tol in x, so the crossing at position m + 1 is too; only
+those steps get the exact test, on the same floats as a pair-by-pair merge,
+and the first coincidence on a line stops it after m + 1 comparisons. A pair
 outside the x window is no coincidence: the merge discards its crossing
 further left, as at any other pair, so the window decides only where a line
 stops, never which pairs it meets.
 
-The sweep works on blocks of about `BLOCK` crossings, so its working set
-stays flat in n. One pass over every S-line at once holds a few n x n arrays:
-at n = 400 that traced 13.2 MB against 0.41 MB in blocks, and it raised the
-pl-triple benchmark's peak RSS from about 80 to 94 MB.
+`count_comparisons` alone makes the paper's count, at most 2n log n + 2n^2
+comparisons: the sorts' through a counting key, one by one, and the merge's
+line by line. A line that stops at step m makes m + 1; one that meets no
+coincidence makes n_t + n_r less the length of its final run of one family,
+which is left when the other family runs out.
+
+The sweep and the count work on blocks of about `BLOCK` crossings, so their
+working set stays flat in n. One pass over every S-line at once holds a few
+n x n arrays: at n = 400 the search traced 13.2 MB against 0.41 MB in blocks
+and raised the pl-triple benchmark's peak RSS from about 80 to 94 MB, and the
+count's no-coincidence steps alone traced 4.0 MB (61.7 MB at n = 1600).
 
 The search reports a point within match_tol of a boundary point, or of
 another point found, once: a sort by x, and among x-neighbours closer than
@@ -48,16 +52,6 @@ from .geometry import Angle, Point2, intersect
 
 # crossings per block of S-lines in the rolling-ball sweep
 BLOCK = 8192
-
-
-@dataclass
-class OpCounter:
-    """Counts comparison steps (sort comparisons plus sweep comparisons)."""
-
-    count: int = 0
-
-    def tick(self, k: int = 1) -> None:
-        self.count += k
 
 
 @dataclass(frozen=True)
@@ -130,31 +124,19 @@ def _merge_points(found: np.ndarray, cfg: TripleConfig) -> list[Point2]:
     return [Point2(x, y) for x, y in pts[order].tolist()]
 
 
-def _sorted(values: Sequence[float], reverse: bool, counter: OpCounter | None) -> np.ndarray:
-    key = None
-    if counter is not None:
-
-        def cmp(a: float, b: float) -> int:
-            counter.tick()
-            # ints, so numpy heights compare too (numpy bools do not subtract)
-            return int(a > b) - int(a < b)
-
-        key = cmp_to_key(cmp)
-    # Timsort makes the same comparisons with or without the key
-    return np.array(sorted(values, key=key, reverse=reverse), dtype=float)
+def _sorted(heights, key=None) -> list[np.ndarray]:
+    """The T-, S- and R-heights: T decreasing, S and R increasing. Timsort
+    makes the same comparisons with or without a key."""
+    return [np.array(sorted(v, key=key, reverse=rev), dtype=float) for v, rev in zip(heights, (True, False, False))]
 
 
 def _block(ss: np.ndarray, ts: np.ndarray, rs: np.ndarray, cfg: TripleConfig):
-    """The merge along a block of S-lines: its comparison count and the
-    points found, at most one per S-line, in S order."""
+    """The merge along a block of S-lines: the points found, at most one per
+    S-line, in S order, each one's line in the block and the comparisons the
+    merge makes on that line."""
     n_t, n_r, tol = len(ts), len(rs), cfg.match_tol
     x_t, y_t = intersect(cfg.theta1, ss[:, None], cfg.theta0, ts)
     x_r, y_r = intersect(cfg.theta1, ss[:, None], cfg.theta2, rs)
-    # with no coincidence met, a line ends when one family runs out: after
-    # the last T-crossing and every R-crossing left of it, or after the last
-    # R-crossing and every T-crossing at or left of it
-    steps = np.minimum(n_t + np.count_nonzero(x_r < x_t[:, -1:], axis=1),
-                       n_r + np.count_nonzero(x_t <= x_r[:, -1:], axis=1))
     # the merged order, T first on a tie, and the steps m, on line q, whose
     # crossing at m + 1 is closer than tol in x; the one pair that spans two
     # lines has m = n_t + n_r - 1, where one family has run out
@@ -176,16 +158,18 @@ def _block(ss: np.ndarray, ts: np.ndarray, rs: np.ndarray, cfg: TripleConfig):
     met = np.flatnonzero((dx * dx + dy * dy < tol * tol) & (x_lo <= xr) & (xr <= x_hi))
     # in (line, step) order the first coincidence on a line stops it
     stop = met[np.flatnonzero(np.diff(q[met], prepend=-1))]
-    steps[q[stop]] = m[stop] + 1
-    return int(steps.sum()), np.column_stack((xr[stop], yr[stop]))
+    return np.column_stack((xr[stop], yr[stop])), q[stop], m[stop] + 1
 
 
 def _sweep(ss: np.ndarray, ts: np.ndarray, rs: np.ndarray, cfg: TripleConfig):
-    """The rolling-ball merge along every S-line, in blocks: the total
-    comparison count and the points found, in S order."""
+    """The merge along every S-line, in blocks of about `BLOCK` crossings:
+    each block with what `_block` finds on it; none if T or R is empty."""
+    if not (len(ts) and len(rs)):
+        return
     rows = max(1, BLOCK // (len(ts) + len(rs)))
-    steps, found = zip(*(_block(ss[lo:lo + rows], ts, rs, cfg) for lo in range(0, len(ss), rows)))
-    return sum(steps), np.concatenate(found)
+    for lo in range(0, len(ss), rows):
+        block = ss[lo:lo + rows]
+        yield block, _block(block, ts, rs, cfg)
 
 
 def rolling_ball_reconstruct(
@@ -193,24 +177,15 @@ def rolling_ball_reconstruct(
     s_heights: Sequence[float],
     r_heights: Sequence[float],
     cfg: TripleConfig,
-    counter: OpCounter | None = None,
 ) -> list[Point2]:
     """Rolling-ball triple search.
 
     Per S-line it stops at the first triple inside `cfg.x_window` that the
     merge meets, which is exact when no critical line carries two triple
-    points. Start and end are always included; output is sorted by x. With a
-    counter, it counts the sorts' comparisons one by one and adds the merge's
-    derived count.
+    points. Start and end are always included; output is sorted by x.
     """
-    ts = _sorted(t_heights, True, counter)
-    ss = _sorted(s_heights, False, counter)
-    rs = _sorted(r_heights, False, counter)
-    found = np.empty((0, 2))
-    if len(ts) and len(ss) and len(rs):
-        steps, found = _sweep(ss, ts, rs, cfg)
-        if counter is not None:
-            counter.tick(steps)
+    ts, ss, rs = _sorted((t_heights, s_heights, r_heights))
+    found = np.concatenate([np.empty((0, 2)), *(points for _, (points, _, _) in _sweep(ss, ts, rs, cfg))])
     return _merge_points(found, cfg)
 
 
@@ -221,7 +196,28 @@ def count_comparisons(
     r_heights: Sequence[float],
     cfg: TripleConfig,
 ) -> int:
-    """Run one reconstruction with instrumentation and return its comparison count."""
-    counter = OpCounter()
-    algorithm(t_heights, s_heights, r_heights, cfg, counter=counter)
-    return counter.count
+    """The paper's comparison count of `algorithm`, which must be
+    `rolling_ball_reconstruct`, on these heights."""
+    if algorithm is not rolling_ball_reconstruct:
+        raise ValueError(f"count_comparisons counts rolling_ball_reconstruct only, got {algorithm!r}")
+    count = 0
+
+    def cmp(a: float, b: float) -> int:
+        nonlocal count
+        count += 1
+        # ints, so numpy heights compare too (numpy bools do not subtract)
+        return int(a > b) - int(a < b)
+
+    ts, ss, rs = _sorted((t_heights, s_heights, r_heights), cmp_to_key(cmp))
+    n_t, n_r = len(ts), len(rs)
+    for block, (_, q, stops) in _sweep(ss, ts, rs, cfg):
+        x_t = intersect(cfg.theta1, block[:, None], cfg.theta0, ts)[0]
+        x_r = intersect(cfg.theta1, block[:, None], cfg.theta2, rs)[0]
+        # with no coincidence met, a line ends when one family runs out: after
+        # the last T-crossing and every R-crossing left of it, or after the last
+        # R-crossing and every T-crossing at or left of it
+        steps = np.minimum(n_t + np.count_nonzero(x_r < x_t[:, -1:], axis=1),
+                           n_r + np.count_nonzero(x_t <= x_r[:, -1:], axis=1))
+        steps[q] = stops
+        count += int(steps.sum())
+    return count

@@ -189,13 +189,29 @@ def test_verify_rejects_a_nan_coordinate_naming_its_file(tmp_path, monkeypatch, 
     assert err.startswith(f"error: {nan_in}.json: ") and "finite" in err
 
 
-@pytest.mark.parametrize("value", ["-1", "nan"])
+# an infinite tolerance would match any point to any other
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
 def test_verify_tol_below_zero_or_not_a_number_exits_2_with_usage(value, capsys):
     with pytest.raises(SystemExit) as exc:
         run(["verify", "--points", "p", "--truth", "t", "--tol", value])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert err.startswith("usage:") and "expected a number >= 0" in err
+    assert err.startswith("usage:") and "expected a finite number >= 0" in err
+
+
+# an unknown kind in the points file would be reported mislabelled, and a
+# miscased "Endpoint" in the truth file would count as an interior point
+@pytest.mark.parametrize(
+    "bad_in, kind", [("points", "banana"), ("truth", "Endpoint"), ("points", 1)], ids=["banana", "Endpoint", "number"]
+)
+def test_verify_rejects_a_kind_that_is_no_critical_kind_naming_its_file(tmp_path, monkeypatch, bad_in, kind, capsys):
+    monkeypatch.chdir(tmp_path)
+    for name in ("points", "truth"):
+        point = {"x": 0.0, "y": 0.0, "kind": kind if name == bad_in else "max"}
+        Path(f"{name}.json").write_text(json.dumps({"critical_points": [point]}))
+    assert run(["verify", "--points", "points.json", "--truth", "truth.json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad_in}.json: ") and "CriticalKind" in err
 
 
 def test_diagram_strict_rejects_non_admissible(tmp_path):
@@ -498,6 +514,27 @@ def test_landscape_rejects_a_diagram_with_a_number_that_is_not_finite(tmp_path, 
     assert not (tmp_path / "l.json").exists()
     err = capsys.readouterr().err
     assert err.startswith("error:") and "finite" in err
+
+
+@pytest.mark.parametrize(
+    "vertices, rule",
+    [
+        ([[0, 0], [1, 1], [2, 0], [1, 0]], "t decreases"),
+        ([[0, 0], [1, -1], [2, 0]], "u must be >= 0"),
+        ([[0, 0], [1, 1]], "0 at both ends"),
+        ([[0, 0], [1, 5], [2, 0]], "slope"),
+        ([[0, 0], [1, 1 + 1e-9], [2, 0]], "slope"),
+    ],
+    ids=["t-falls", "u-below-zero", "nonzero-end", "slope-5", "slope-off-by-1e-9"],
+)
+def test_reconstruct_landscapes_rejects_a_level_that_is_no_landscape(tmp_path, monkeypatch, vertices, rule, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("l.json").write_text(json.dumps([{"level": 1, "vertices": [[0, 0], [1, 1], [2, 0]]},
+                                          {"level": 2, "vertices": vertices}]))
+    Path("f.json").write_text(json.dumps(PL_FILE))
+    assert run(["reconstruct-landscapes", "--in-landscapes", "l.json", "--in-function", "f.json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: l.json: level 2: ") and rule in err
 
 
 def test_reconstruct_landscapes_rejects_a_nan_landscape_vertex(tmp_path, capsys):

@@ -8,7 +8,6 @@ from persrec.generators import gen_pl
 from persrec.geometry import Angle, Point2
 from persrec.persistence import critical_heights, directional_diagram, is_admissible
 from persrec.reconstruct_pl import (
-    OpCounter,
     TripleConfig,
     count_comparisons,
     rolling_ball_reconstruct,
@@ -155,11 +154,10 @@ def test_rolling_count_grows_quadratically():
     assert 3.0 <= counts[100] / counts[50] <= 5.0
 
 
-def test_counter_ticks():
-    c = OpCounter()
-    c.tick()
-    c.tick(3)
-    assert c.count == 4
+def test_count_comparisons_counts_the_rolling_ball_search_only():
+    cfg = TripleConfig.default(Point2(0.0, 0.5), Point2(1.0, 0.25))
+    with pytest.raises(ValueError, match="rolling_ball_reconstruct"):
+        count_comparisons(lambda t, s, r, cfg: [], [0.1], [0.2], [0.3], cfg)
 
 
 def lines_through(cfg, points):
@@ -276,15 +274,17 @@ def test_numpy_heights_count_as_lists_do():
 
 
 def test_rolling_ball_on_four_hundred_points_stays_small_in_traced_memory():
-    # the sweep works on blocks of S-lines; one pass over every S-line at
-    # once would hold a few 400 x 400 arrays, about 13 MB
+    # the sweep and the count work on blocks of S-lines; one pass over every
+    # S-line at once would hold a few 400 x 400 arrays, about 13 MB for the
+    # search and 4 MB for the count
     f, _ = gen_pl(400, seed=115)
     cfg = default_cfg(f)
     heights = heights_for(f, cfg)
-    tracemalloc.start()
-    try:
-        rolling_ball_reconstruct(*heights, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1_000_000
+    for run in (rolling_ball_reconstruct, lambda *args: count_comparisons(rolling_ball_reconstruct, *args)):
+        tracemalloc.start()
+        try:
+            run(*heights, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
