@@ -129,12 +129,22 @@ def _load_diagram(data: dict) -> Diagram:
     return Diagram(Angle.from_degrees(_finite(data["direction_deg"])), points)
 
 
+def _level(value) -> int:
+    k = _finite(value)
+    if k != int(k) or k < 1:
+        raise ValueError(f"level {k:g}: a level is an integer >= 1")
+    return int(k)
+
+
 def _load_landscapes(data: list) -> list[Landscape]:
-    """A landscapes file holds [{"level": k, "vertices": [[t, u], ..]}, ..].
-    A nonzero level must be a landscape as `Landscape` states it: t never
-    decreases, u >= 0 with u = 0 at both ends, and every piece has slope -1,
-    0 or +1, within 4 eps times the level's largest |t| or |u|."""
-    ls = [Landscape(int(l["level"]), tuple((_finite(t), _finite(u)) for t, u in l["vertices"])) for l in data]
+    """A landscapes file holds [{"level": k, "vertices": [[t, u], ..]}, ..],
+    with distinct levels k, each an integer >= 1. A nonzero level must be a
+    landscape as `Landscape` states it: t never decreases, u >= 0 with u = 0
+    at both ends, and every piece has slope -1, 0 or +1, within 4 eps times
+    the level's largest |t| or |u|."""
+    ls = [Landscape(_level(l["level"]), tuple((_finite(t), _finite(u)) for t, u in l["vertices"])) for l in data]
+    if len({l.level for l in ls}) < len(ls):
+        raise ValueError("levels must be distinct")
     for l in ls:
         if l.is_zero:
             continue

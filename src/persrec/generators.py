@@ -4,10 +4,11 @@ Three families: random piecewise-linear functions with a requested number of
 interior critical points, random sums of sines (dominant-frequency, so the
 critical count is controllable), and natural cubic splines through random
 knots. Each generator returns the function together with its critical points
-computed by an independent analytic oracle (alternation construction,
-bisection of the analytic derivative, per-segment quadratic roots), so
-reconstruction code can be checked against exact answers. The package needs
-numpy alone.
+computed by an independent oracle, so reconstruction code can be checked
+against exact answers. The PL truth is the alternation construction. Both
+smooth truths are the sign changes of the exact derivative between bracket
+ends, each bisected to adjacent floats; the sign at a bracket's left end gives
+the kind. The package needs numpy alone.
 """
 
 from __future__ import annotations
@@ -108,6 +109,25 @@ class SineSum:
         return self._series(x, -self.amps * self.omegas * self.omegas, np.sin)
 
 
+def _sign_changes(fn, ends):
+    """(lo, hi, rising) for each sign change of fn between consecutive ends;
+    rising where fn is negative at lo, which marks a minimum. An end where fn
+    is exactly 0 is dropped first, so a root on an end is bracketed once, by
+    its neighbours."""
+    vals = fn(ends)
+    ends, signs = ends[vals != 0], np.sign(vals[vals != 0])
+    i = np.nonzero(signs[:-1] != signs[1:])[0]
+    return ends[i], ends[i + 1], signs[i] < 0
+
+
+def _extrema(xs, ys, rising) -> list[CriticalPoint]:
+    """The points (x, y), each a minimum where rising, else a maximum."""
+    return [
+        CriticalPoint(float(x), float(y), CriticalKind.LOCAL_MIN if r else CriticalKind.LOCAL_MAX)
+        for x, y, r in zip(xs, ys, rising)
+    ]
+
+
 def _bisect(fn, lo, hi):
     """Roots of fn in the brackets [lo, hi], all halved together, where fn(lo)
     and fn(hi) differ in sign. Each bracket shrinks to two adjacent floats,
@@ -147,7 +167,7 @@ def gen_harmonic(
     a, b = checked_domain(domain)
     xs = uniform_grid((a, b), samples_per_unit)
     width = b - a
-    lo, hi = target_range
+    fewest, most = target_range
     rng = np.random.default_rng(seed)
 
     for _ in range(max_attempts):
@@ -163,26 +183,18 @@ def gen_harmonic(
 
         sines = SineSum(amps, omegas, phases, a)
         grid = np.linspace(a, b, int(200 * k_dom) + 1)
-        vals = sines.derivative(grid)
-        brackets = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-        if not (lo <= len(brackets) <= hi):
+        lo, hi, rising = _sign_changes(sines.derivative, grid)
+        if not (fewest <= len(lo) <= most):
             continue
-        roots = _bisect(sines.derivative, grid[brackets], grid[brackets + 1])
+        roots = _bisect(sines.derivative, lo, hi)
         margin = _EDGE_MARGIN_FRAC * width
         if roots[0] < a + margin or roots[-1] > b - margin:
             continue
         if len(roots) > 1 and np.min(np.diff(roots)) < _MIN_GAP_FRAC * width:
             continue
-        curvatures = sines.second_derivative(roots)
-        if np.min(np.abs(curvatures)) < _MIN_CURVATURE:
+        if np.min(np.abs(sines.second_derivative(roots))) < _MIN_CURVATURE:
             continue
-
-        func = GeneratedSignal(xs, sines)
-        truth = [
-            CriticalPoint(float(x), float(sines(x)), CriticalKind.LOCAL_MAX if c < 0 else CriticalKind.LOCAL_MIN)
-            for x, c in zip(roots, curvatures)
-        ]
-        return func, truth
+        return GeneratedSignal(xs, sines), _extrema(roots, [sines(x) for x in roots], rising)
 
     raise GenerationExhausted(f"no acceptable harmonic draw within {max_attempts} attempts (seed={seed})")
 
@@ -203,9 +215,9 @@ class NaturalCubicSpline:
 
         # tridiagonal system for the interior second derivatives
         m = n - 2
-        sub = h[:-1].copy()
+        sub = h[:-1]
         diag = 2.0 * (h[:-1] + h[1:])
-        sup = h[1:].copy()
+        sup = h[1:]
         rhs = 6.0 * ((ys[2:] - ys[1:-1]) / h[1:] - (ys[1:-1] - ys[:-2]) / h[:-1])
 
         # Thomas forward sweep / back substitution
@@ -214,10 +226,9 @@ class NaturalCubicSpline:
             diag[i] -= w * sup[i - 1]
             rhs[i] -= w * rhs[i - 1]
         sol = np.zeros(m)
-        if m > 0:
-            sol[-1] = rhs[-1] / diag[-1]
-            for i in range(m - 2, -1, -1):
-                sol[i] = (rhs[i] - sup[i] * sol[i + 1]) / diag[i]
+        sol[-1] = rhs[-1] / diag[-1]
+        for i in range(m - 2, -1, -1):
+            sol[i] = (rhs[i] - sup[i] * sol[i + 1]) / diag[i]
 
         self.m2 = np.concatenate([[0.0], sol, [0.0]])  # second derivatives at knots
         self.h = h
@@ -252,53 +263,21 @@ class NaturalCubicSpline:
         return (self.m2[i] * v + self.m2[i + 1] * u) / h
 
     def critical_points(self) -> list[CriticalPoint]:
-        """Interior local extrema from the exact quadratic derivative roots of
-        each segment; derivative roots without a sign change are ignored."""
-        eps = 1e-9 * (self.xs[-1] - self.xs[0])
-        roots: list[float] = []
-        for i in range(len(self.xs) - 1):
-            h = self.h[i]
-            d = (self.ys[i + 1] - self.ys[i]) / h - (self.m2[i + 1] - self.m2[i]) * h / 6.0
-            alpha = (self.m2[i + 1] - self.m2[i]) / (2.0 * h)
-            beta = self.m2[i]
-            gamma = -self.m2[i] * h / 2.0 + d
-            for u in _quadratic_roots(alpha, beta, gamma):
-                if 0.0 <= u < h:
-                    roots.append(float(self.xs[i] + u))
-        roots.sort()
-
-        out: list[CriticalPoint] = []
-        a, b = self.xs[0], self.xs[-1]
-        for x in roots:
-            if out and abs(x - out[-1].x) < 1e-12:
-                continue
-            if not (a + eps < x < b - eps):
-                continue
-            left = float(self.derivative(x - eps))
-            right = float(self.derivative(x + eps))
-            if left < 0 < right:
-                out.append(CriticalPoint(x, float(self(x)), CriticalKind.LOCAL_MIN))
-            elif left > 0 > right:
-                out.append(CriticalPoint(x, float(self(x)), CriticalKind.LOCAL_MAX))
-        return out
-
-
-def _quadratic_roots(a: float, b: float, c: float) -> list[float]:
-    """Real roots of a*u^2 + b*u + c, numerically stable, [] when degenerate."""
-    if abs(a) < 1e-300:
-        if abs(b) < 1e-300:
-            return []
-        return [-c / b]
-    disc = b * b - 4.0 * a * c
-    if disc <= 0.0:
-        return []
-    q = -(b + math.copysign(math.sqrt(disc), b)) / 2.0
-    roots = [q / a]
-    if q != 0.0:
-        roots.append(c / q)
-    else:
-        roots.append(-roots[0])
-    return roots
+        """Interior local extrema, strictly increasing in x: the sign changes
+        of the derivative. s'' is linear on each segment, so s' is monotone
+        between consecutive knots and inflection points, and each such
+        interval holds at most one root."""
+        xs, m2 = self.xs, self.m2
+        flips = np.nonzero(np.sign(m2[:-1]) * np.sign(m2[1:]) < 0)[0]
+        inflections = xs[flips] + self.h[flips] * m2[flips] / (m2[flips] - m2[flips + 1])
+        lo, hi, rising = _sign_changes(self.derivative, np.sort(np.concatenate((xs, inflections))))
+        roots = _bisect(self.derivative, lo, hi)
+        # two brackets that share an end can both give it; s' then has one
+        # sign on both sides of that float, and neither root is an extremum
+        gaps = np.diff(roots, prepend=-np.inf, append=np.inf)
+        eps = 1e-9 * (xs[-1] - xs[0])
+        keep = (gaps[:-1] > 0) & (gaps[1:] > 0) & (xs[0] + eps < roots) & (roots < xs[-1] - eps)
+        return _extrema(roots[keep], self(roots[keep]), rising[keep])
 
 
 def gen_spline(

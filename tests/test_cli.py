@@ -537,6 +537,20 @@ def test_reconstruct_landscapes_rejects_a_level_that_is_no_landscape(tmp_path, m
     assert err.startswith("error: l.json: level 2: ") and rule in err
 
 
+@pytest.mark.parametrize(
+    "levels, rule",
+    [((1.7, 2), "level 1.7: a level is an integer >= 1"), ((1, 0), "level 0: a level is an integer >= 1"),
+     ((1, -3), "level -3: a level is an integer >= 1"), ((2, 2), "levels must be distinct")],
+    ids=["fraction", "zero", "negative", "repeated"],
+)
+def test_reconstruct_landscapes_rejects_a_level_number_that_is_no_level(tmp_path, monkeypatch, levels, rule, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("l.json").write_text(json.dumps([{"level": k, "vertices": [[0, 0], [1, 1], [2, 0]]} for k in levels]))
+    Path("f.json").write_text(json.dumps(PL_FILE))
+    assert run(["reconstruct-landscapes", "--in-landscapes", "l.json", "--in-function", "f.json"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: l.json: {rule}")
+
+
 def test_reconstruct_landscapes_rejects_a_nan_landscape_vertex(tmp_path, capsys):
     (tmp_path / "l.json").write_text(json.dumps([{"level": 1, "vertices": [[0.0, 0.0], [0.5, math.nan], [1.0, 0.0]]}]))
     (tmp_path / "f.json").write_text(json.dumps(PL_FILE))

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 from scipy.optimize import brentq
 
 import persrec
@@ -19,7 +20,7 @@ from persrec.generators import (
     gen_spline,
 )
 from persrec.geometry import Angle
-from persrec.persistence import CriticalKind, critical_points, is_admissible
+from persrec.persistence import CriticalKind, CriticalPoint, critical_points, is_admissible
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +190,49 @@ def test_gen_spline_ground_truth_is_stationary():
             assert left > 0 > right
 
 
+# perfbench's landscape-decode panel, then seeded draws with 4-63 knots
+@pytest.mark.parametrize("seed, knots", [(s, 56 + s % 9) for s in range(30)] + [(s, 4 + s) for s in range(60)])
+def test_gen_spline_truth_is_every_root_of_the_segment_quadratics_and_brentqs_root(seed, knots):
+    f, truth = gen_spline(seed, knots=knots, samples_per_unit=2000.0)
+    s = f.exact
+    assert truth and np.all(np.diff([c.x for c in truth]) > 0)
+    # each segment's cubic in u = x - x_i, built from its knot values and
+    # second derivatives; the real roots of its derivative by np.roots, each
+    # a minimum where the cubic's second derivative is positive
+    u = Polynomial([0.0, 1.0])
+    found = []
+    for i, h in enumerate(s.h):
+        v = h - u
+        cubic = (s.m2[i] * v**3 + s.m2[i + 1] * u**3) / (6 * h) + (s.ys[i] / h - s.m2[i] * h / 6) * v \
+            + (s.ys[i + 1] / h - s.m2[i + 1] * h / 6) * u
+        slope = cubic.deriv()
+        found += [(s.xs[i] + r.real, slope.deriv()(r.real) > 0) for r in np.roots(slope.coef[::-1])
+                  if r.imag == 0 and 0 <= r.real < h]
+    found = sorted(p for p in found if 0.0 < p[0] < 1.0)
+    xs = np.array([c.x for c in truth])
+    assert [c.kind is CriticalKind.LOCAL_MIN for c in truth] == [rising for _, rising in found]
+    assert np.abs(xs - [x for x, _ in found]).max() <= 1e-15
+    # brentq between the midpoints of consecutive truth points
+    ends = np.concatenate(([0.0], (xs[:-1] + xs[1:]) / 2, [1.0]))
+    roots = [brentq(s.derivative, lo, hi, xtol=1e-15, rtol=8.9e-16) for lo, hi in zip(ends[:-1], ends[1:])]
+    assert np.abs(xs - roots).max() <= 1e-15
+
+
+def test_a_derivative_root_on_a_knot_is_one_extremum():
+    # s'(1) is exactly 0.0: the root is the shared end of two brackets
+    s = NaturalCubicSpline([0.0, 1.0, 2.0], [1.0, 0.0, 1.0])
+    assert s.derivative(1.0) == 0.0
+    assert s.critical_points() == [CriticalPoint(1.0, 0.0, CriticalKind.LOCAL_MIN)]
+
+
+def test_a_sign_flip_on_one_float_is_no_extremum():
+    # s' is negative at x = 1 alone: both brackets that share that end bisect
+    # to it, and s' has one sign on both sides of it
+    s = NaturalCubicSpline([0.0, 1.0, 2.0], [1.0, 0.0, 1.0])
+    s.derivative = lambda x: np.where(x == 1.0, -1e-300, 1.0)
+    assert s.critical_points() == []
+
+
 def test_gen_spline_minimal_knots():
     f, truth = gen_spline(seed=0, knots=4)
     assert len(f.xs) >= 2
@@ -251,7 +295,7 @@ def test_no_operation_path_loads_numpy_ma():
     env = dict(os.environ, PYTHONPATH=str(Path(persrec.__file__).parents[1]))
     code = (
         "import sys\n"
-        "from persrec.generators import gen_harmonic, gen_pl\n"
+        "from persrec.generators import gen_harmonic, gen_pl, gen_spline\n"
         "from persrec.geometry import Angle, Point2\n"
         "from persrec.landscape import landscapes, reconstruct_from_landscapes\n"
         "from persrec.persistence import critical_heights, directional_diagram\n"
@@ -263,6 +307,7 @@ def test_no_operation_path_loads_numpy_ma():
         "rolling_ball_reconstruct(*map(critical_heights, ds), TripleConfig(*(d.direction for d in ds), *ends))\n"
         "reconstruct_from_landscapes(landscapes(ds[0], 10), f.ys, f.xs)\n"
         "five_line_reconstruct(gen_harmonic(31)[0])\n"
+        "gen_spline(1)\n"
         "print('numpy.ma' in sys.modules)\n"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
