@@ -9,30 +9,46 @@ triple search here. With the T-heights sorted decreasing and the R-heights
 increasing, the T- and the R-crossings along one S-line both run left to
 right. A two-pointer merge of the two rows discards the crossing further left
 at each comparison (a tie discards the T-crossing) and stops at the first
-coincidence within match_tol inside the x window. Here the merge is read off
-the stable sort of each line's T- and R-crossings, T first on a tie, which
-`geometry.intersect` (the one crossing formula) gives for a block of S-lines
-at once: step m discards the crossing at position m and compares R_i with
-T_j, i and j the R- and T-crossings before position m. The crossing at m is
-one of the two, so its index gives the other. A coincidence at step m is
-closer than match_tol in x, so the crossing at position m + 1 is too; only
-those steps get the exact test, on the same floats as a pair-by-pair merge,
-and the first coincidence on a line stops it after m + 1 comparisons. A pair
-outside the x window is no coincidence: the merge discards its crossing
-further left, as at any other pair, so the window decides only where a line
-stops, never which pairs it meets.
+coincidence within match_tol inside the x window. A pair outside the window
+is no coincidence: the merge discards its crossing further left, as at any
+other pair.
+
+Only crossings within match_tol of the window can be part of a coincidence.
+Along a line each family's crossings are monotone in their heights, in
+floating point too, so those near the window are one range of columns,
+found by a `searchsorted` from the crossing formula inverted at the window's
+ends (`_columns`). With w the widest range of a family over all S-lines, a
+line's columns of that family are the w from min(lo, n - w), lo its range's
+first column, so the gathered heights are one dense array per block. The
+extra columns are real crossings, and every crossing left of a line's
+columns (right of them) lies more than match_tol left (right) of the
+window. Once both have discarded every crossing that far left, the merge of
+a line's columns is at the pair the merge of its full rows is at, and meets
+the same pairs from there until no coincidence is left; no pair met before
+can be one. Its step m is step m + start_t + start_r of the full merge. So
+the x window decides which columns are merged and where a line stops, but
+never which pairs it meets.
+
+The merge is read off the stable sort of each line's T- and R-columns, T
+first on a tie, which `geometry.intersect` (the one crossing formula) gives
+for a block of S-lines at once: step m discards the crossing at position m
+and compares R_i with T_j, i and j the R- and T-crossings before position m.
+The crossing at m is one of the two, so its index gives the other. A
+coincidence at step m is closer than match_tol in x, so the crossing at
+position m + 1 is too; only those steps get the exact test, on the same
+floats as a pair-by-pair merge, and the first coincidence on a line stops
+it.
 
 `count_comparisons` alone makes the paper's count, at most 2n log n + 2n^2
 comparisons: the sorts' through a counting key, one by one, and the merge's
-line by line. A line that stops at step m makes m + 1; one that meets no
-coincidence makes n_t + n_r less the length of its final run of one family,
-which is left when the other family runs out.
+line by line. A line that stops makes the full merge's stop step, which the
+sweep gives; one that meets no coincidence makes n_t + n_r less the length
+of its final run of one family, which is left when the other family runs
+out, read off whole rows in blocks of their own.
 
 The sweep and the count work on blocks of about `BLOCK` crossings, so their
-working set stays flat in n. One pass over every S-line at once holds a few
-n x n arrays: at n = 400 the search traced 13.2 MB against 0.41 MB in blocks
-and raised the pl-triple benchmark's peak RSS from about 80 to 94 MB, and the
-count's no-coincidence steps alone traced 4.0 MB (61.7 MB at n = 1600).
+working set stays flat in n. On `gen_pl(n, seed=115)` the search traces
+0.49 MB at n = 400 and 0.71 MB at n = 1 600, and the count 0.49 and 0.57 MB.
 
 The search reports a point within match_tol of a boundary point, or of
 another point found, once: a sort by x, and among x-neighbours closer than
@@ -130,11 +146,38 @@ def _sorted(heights, key=None) -> list[np.ndarray]:
     return [np.array(sorted(v, key=key, reverse=rev), dtype=float) for v, rev in zip(heights, (True, False, False))]
 
 
-def _block(ss: np.ndarray, ts: np.ndarray, rs: np.ndarray, cfg: TripleConfig):
-    """The merge along a block of S-lines: the points found, at most one per
-    S-line, in S order, each one's line in the block and the comparisons the
-    merge makes on that line."""
-    n_t, n_r, tol = len(ts), len(rs), cfg.match_tol
+def _columns(ss: np.ndarray, heights: np.ndarray, a: Angle, cfg: TripleConfig):
+    """(start, w): on each S-line, the crossings with the lines (a, h), h in
+    `heights`, that may lie within match_tol of the x window are among the w
+    adjacent columns from the line's start, w the widest such range.
+
+    Along a line, x = (h sin(theta1) - s sin(a)) / sin(theta1 - a) is
+    monotone in h, in floating point too, so a line's crossings in the window
+    are one range of columns. Its ends come from the formula inverted at the
+    window's ends, each widened by match_tol and by 4 eps times the operands'
+    size, more than the rounding of the crossings, of their inverse and of
+    the bounds. No crossing that can meet the window then lies on an end, so
+    one `searchsorted` side serves both. A start clipped to n - w keeps every
+    line's columns inside the row; the extra ones are real crossings."""
+    d, c1 = math.sin(cfg.theta1.theta - a.theta), math.sin(cfg.theta1.theta)
+    # the crossings run left to right in h * sign(d)
+    row = heights if d > 0 else -heights
+    x_lo, x_hi, tol = *cfg.x_window, cfg.match_tol
+    top = (max(abs(row[0]), abs(row[-1])) + max(abs(ss[0]), abs(ss[-1]))) / abs(d)
+    slack = 4 * math.ulp(1.0) * (top + max(abs(x_lo), abs(x_hi)) + tol)
+    ends = ((x_lo - tol - slack) * abs(d / c1), (x_hi + tol + slack) * abs(d / c1))
+    lo, hi = np.searchsorted(row, np.add.outer(ss * math.copysign(math.sin(a.theta) / c1, d), ends)).T
+    w = int(np.maximum.reduce(hi - lo))
+    return np.minimum(lo, len(row) - w), w
+
+
+def _block(ss: np.ndarray, ts: np.ndarray, rs: np.ndarray, offset: np.ndarray, cfg: TripleConfig):
+    """The merge along a block of S-lines, on each line's T- and R-columns
+    (rows of `ts` and `rs`), which start `offset` crossings into the line's
+    full merge: the points found, at most one per S-line, in S order, each
+    one's line in the block and the comparisons the full merge makes on that
+    line."""
+    n_t, n_r, tol = ts.shape[1], rs.shape[1], cfg.match_tol
     x_t, y_t = intersect(cfg.theta1, ss[:, None], cfg.theta0, ts)
     x_r, y_r = intersect(cfg.theta1, ss[:, None], cfg.theta2, rs)
     # the merged order, T first on a tie, and the steps m, on line q, whose
@@ -158,18 +201,26 @@ def _block(ss: np.ndarray, ts: np.ndarray, rs: np.ndarray, cfg: TripleConfig):
     met = np.flatnonzero((dx * dx + dy * dy < tol * tol) & (x_lo <= xr) & (xr <= x_hi))
     # in (line, step) order the first coincidence on a line stops it
     stop = met[np.flatnonzero(np.diff(q[met], prepend=-1))]
-    return np.column_stack((xr[stop], yr[stop])), q[stop], m[stop] + 1
+    q = q[stop]
+    return np.column_stack((xr[stop], yr[stop])), q, m[stop] + 1 + offset[q]
 
 
 def _sweep(ss: np.ndarray, ts: np.ndarray, rs: np.ndarray, cfg: TripleConfig):
-    """The merge along every S-line, in blocks of about `BLOCK` crossings:
-    each block with what `_block` finds on it; none if T or R is empty."""
-    if not (len(ts) and len(rs)):
+    """The merge along every S-line, on its columns near the x window
+    (`_columns`), in blocks of about `BLOCK` of them: each block's points,
+    their lines and the full merge's stop steps on those lines; none if no
+    line has both a T- and an R-crossing near the window."""
+    if not (len(ss) and len(ts) and len(rs)):
         return
-    rows = max(1, BLOCK // (len(ts) + len(rs)))
+    (start_t, w_t), (start_r, w_r) = _columns(ss, ts, cfg.theta0, cfg), _columns(ss, rs, cfg.theta2, cfg)
+    if not (w_t and w_r):
+        return
+    cols_t, cols_r, offset = np.arange(w_t), np.arange(w_r), start_t + start_r
+    rows = max(1, BLOCK // (w_t + w_r))
     for lo in range(0, len(ss), rows):
-        block = ss[lo:lo + rows]
-        yield block, _block(block, ts, rs, cfg)
+        b = slice(lo, lo + rows)
+        yield lo, _block(ss[b], ts[np.add.outer(start_t[b], cols_t)], rs[np.add.outer(start_r[b], cols_r)],
+                         offset[b], cfg)
 
 
 def rolling_ball_reconstruct(
@@ -210,14 +261,19 @@ def count_comparisons(
 
     ts, ss, rs = _sorted((t_heights, s_heights, r_heights), cmp_to_key(cmp))
     n_t, n_r = len(ts), len(rs)
-    for block, (_, q, stops) in _sweep(ss, ts, rs, cfg):
-        x_t = intersect(cfg.theta1, block[:, None], cfg.theta0, ts)[0]
-        x_r = intersect(cfg.theta1, block[:, None], cfg.theta2, rs)[0]
-        # with no coincidence met, a line ends when one family runs out: after
-        # the last T-crossing and every R-crossing left of it, or after the last
-        # R-crossing and every T-crossing at or left of it
-        steps = np.minimum(n_t + np.count_nonzero(x_r < x_t[:, -1:], axis=1),
-                           n_r + np.count_nonzero(x_t <= x_r[:, -1:], axis=1))
-        steps[q] = stops
-        count += int(steps.sum())
-    return count
+    if not (n_t and n_r):
+        return count
+    # with no coincidence met, a line ends when one family runs out: after the
+    # last T-crossing and every R-crossing left of it, or after the last
+    # R-crossing and every T-crossing at or left of it; whole rows, in blocks
+    steps = np.empty(len(ss), dtype=np.int64)
+    rows = max(1, BLOCK // (n_t + n_r))
+    for lo in range(0, len(ss), rows):
+        block = ss[lo:lo + rows, None]
+        x_t = intersect(cfg.theta1, block, cfg.theta0, ts)[0]
+        x_r = intersect(cfg.theta1, block, cfg.theta2, rs)[0]
+        steps[lo:lo + rows] = np.minimum(n_t + np.count_nonzero(x_r < x_t[:, -1:], axis=1),
+                                         n_r + np.count_nonzero(x_t <= x_r[:, -1:], axis=1))
+    for lo, (_, q, stops) in _sweep(ss, ts, rs, cfg):
+        steps[lo + q] = stops
+    return count + int(steps.sum())

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from persrec.generators import gen_pl
-from persrec.geometry import Angle, Point2
+from persrec.geometry import Angle, Point2, intersect
 from persrec.persistence import critical_heights, directional_diagram, is_admissible
 from persrec.reconstruct_pl import (
     TripleConfig,
@@ -184,7 +184,8 @@ DRAWS = [(int(n), int(seed)) for n, seed in zip(_draws.integers(1, 49, 1000), _d
 
 
 def test_rolling_ball_equals_the_scalar_sweep_on_the_panel_and_seeded_draws():
-    for n, seed in PANEL + DRAWS:
+    # and at 800 and 1 600 points, past the panel
+    for n, seed in PANEL + DRAWS + [(800, 800), (1600, 1600)]:
         f, _ = gen_pl(n, seed=seed)
         heights = heights_for(f, default_cfg(f))
         for tol in (1e-6, 1e-9):
@@ -273,18 +274,169 @@ def test_numpy_heights_count_as_lists_do():
     assert count_comparisons(rolling_ball_reconstruct, np.array(t), np.array(s), np.array(r), cfg) == as_lists == 5
 
 
+def test_rolling_ball_equals_the_scalar_sweep_on_the_panel_below_the_rounding():
+    # match_tol far below the rounding of the crossings and of the window
+    for n, seed in PANEL:
+        f, _ = gen_pl(n, seed=seed)
+        assert_equals_scan(*heights_for(f, default_cfg(f)), default_cfg(f, 1e-150))
+
+
+# the window edge cases: on the S-line s = 0 the window [0, 1] takes a tenth
+# of each family's crossings, and no two crossings of the two families lie
+# within match_tol of each other unless a test puts them there
+EDGES = TripleConfig.default(Point2(0.0, 0.0), Point2(1.0, 1.0))
+
+
+def crossing_heights(a, s, xs):
+    """Heights of the T- or R-lines, by direction `a`, that meet the S-line s
+    at xs."""
+    t, _, r = lines_through(EDGES, [on_s_line(EDGES, s, x) for x in xs])
+    return t if a == EDGES.theta0 else r
+
+
+def height_at(a, s, x):
+    """A height of direction `a` whose line meets the S-line s at exactly x,
+    as `intersect` computes it."""
+    up = down = crossing_heights(a, s, [x])[0]
+    for _ in range(200):
+        for h in (up, down):
+            if intersect(EDGES.theta1, s, a, h)[0] == x:
+                return h
+        up, down = math.nextafter(up, math.inf), math.nextafter(down, -math.inf)
+    raise AssertionError(f"no line of {a.degrees} degrees meets the S-line {s} at exactly {x}")
+
+
+def background(s=0.0):
+    """T- and R-heights of lines meeting the S-line s at k + 0.37 and k + 0.71."""
+    ks = range(-10, 11)
+    return (crossing_heights(EDGES.theta0, s, [k + 0.37 for k in ks]),
+            crossing_heights(EDGES.theta2, s, [k + 0.71 for k in ks]))
+
+
+@pytest.mark.parametrize("t_out", [0.0, 0.5])
+@pytest.mark.parametrize("end", [0, 1], ids=["x_lo", "x_hi"])
+def test_a_triple_point_exactly_at_a_window_end_is_found(end, t_out):
+    # the R-crossing lies exactly on the window's end, and the T-crossing on
+    # it or t_out * match_tol outside the window
+    x = EDGES.x_window[end]
+    r = height_at(EDGES.theta2, 0.0, x)
+    t = crossing_heights(EDGES.theta0, 0.0, [x + (2 * end - 1) * t_out * EDGES.match_tol])
+    t_bg, r_bg = background()
+    heights = (t_bg + t, [-0.02, 0.0, 0.02], r_bg + [r])
+    assert_equals_scan(*heights, EDGES)
+    found = [(p.x, p.y) for p in rolling_ball_reconstruct(*heights, EDGES)]
+    assert intersect(EDGES.theta1, 0.0, EDGES.theta2, r) in found
+
+
+@pytest.mark.parametrize("end", [0, 1], ids=["x_lo", "x_hi"])
+def test_a_coincidence_one_float_outside_the_window_goes_through_the_discard_rule(end):
+    # T- and R-crossings at one point, one float outside the window, and on
+    # the S-line s = 0 a triple point at x = 0.5 to stop the merge after it
+    x_lo, x_hi = EDGES.x_window
+    x = math.nextafter(x_lo, -math.inf) if end == 0 else math.nextafter(x_hi, math.inf)
+    r = height_at(EDGES.theta2, 0.0, x)
+    (t,), (s,), (r_in,) = lines_through(EDGES, [on_s_line(EDGES, 0.0, 0.5)])
+    t_bg, r_bg = background()
+    heights = (t_bg + crossing_heights(EDGES.theta0, 0.0, [x]) + [t], [s], r_bg + [r, r_in])
+    assert_equals_scan(*heights, EDGES)
+    assert_points_match(rolling_ball_reconstruct(*heights, EDGES), [(0.0, 0.0), on_s_line(EDGES, 0.0, 0.5), (1.0, 1.0)])
+
+
+def test_a_triple_point_on_a_window_end_below_the_rounding_is_met():
+    # all three lines meet at one computed point on an end of the window, and
+    # match_tol is far below the rounding of the crossings: solving the
+    # window's end for the heights rounds past these, so a line's columns
+    # hold them only through the rounding slack
+    for t, s, r, x_start, x_end, tol in [
+        (-47630.480104996874, 8446.194760949307, 64458.58898481297, 641328.09550996, 837400.1766746853,
+         1.1367040392133066e-21),
+        (0.44214498218022763, 0.6409841105223533, 0.8349449627466163, -6.480789925122414, 2.300727607440754,
+         8.089963893931585e-85),
+    ]:
+        cfg = TripleConfig.default(Point2(x_start, 0.0), Point2(x_end, 1.0), tol)
+        x, y = intersect(cfg.theta1, s, cfg.theta2, r)
+        assert intersect(cfg.theta1, s, cfg.theta0, t) == (x, y) and x in cfg.x_window
+        assert_equals_scan([t], [s], [r], cfg)
+        assert Point2(x, y) in rolling_ball_reconstruct([t], [s], [r], cfg)
+
+
+def window_columns(a, s, heights):
+    """Positions, in the sorted family, of the lines that meet the S-line s in
+    the window; the crossings run left to right for both families."""
+    xs = np.sort(intersect(EDGES.theta1, s, a, np.asarray(heights))[0])
+    x_lo, x_hi = EDGES.x_window
+    return np.flatnonzero((x_lo <= xs) & (xs <= x_hi)).tolist()
+
+
+def test_lines_whose_window_columns_are_their_familys_last_ones():
+    # on s = 0 five lines of each family meet the window; on s_t the T-lines
+    # meet it 0.6 further left and on s_r the R-lines 0.65, so there only the
+    # last two of that family do, and each of these lines carries a triple
+    ks = range(-10, -1)
+    t = crossing_heights(EDGES.theta0, 0.0, [*ks, 0.1, 0.3, 0.5, 0.7, 0.9])
+    r = crossing_heights(EDGES.theta2, 0.0, [*ks, 0.2, 0.4, 0.6, 0.8, 0.95])
+    s_t = -0.6 * math.sin(EDGES.theta0.theta - EDGES.theta1.theta) / math.sin(EDGES.theta0.theta)
+    s_r = 0.65 * math.sin(EDGES.theta1.theta - EDGES.theta2.theta) / math.sin(EDGES.theta2.theta)
+    t += crossing_heights(EDGES.theta0, s_r, [0.3])
+    r += crossing_heights(EDGES.theta2, s_t, [0.3])
+    in_t, in_r = window_columns(EDGES.theta0, s_t, t), window_columns(EDGES.theta2, s_r, r)
+    assert in_t == [len(t) - 2, len(t) - 1] and in_r == [len(r) - 2, len(r) - 1]
+    assert len(window_columns(EDGES.theta0, 0.0, t)) == len(window_columns(EDGES.theta2, 0.0, r)) == 5
+    heights = (t, [s_t, 0.0, s_r], r)
+    assert_equals_scan(*heights, EDGES)
+    assert len(rolling_ball_reconstruct(*heights, EDGES)) == 4
+
+
+@pytest.mark.parametrize("family", ["T", "R", "both"])
+def test_s_lines_with_no_crossing_of_a_family_in_the_window(family):
+    # the family's one line in the window meets it on s = 0.05 alone, so
+    # s = 0 meets only the other family there and s = -3 and 3 neither; with
+    # "both", no S-line meets a line of either family in the window
+    def far(heights):
+        return [h for h, k in zip(heights, range(-10, 11)) if k != 0]
+
+    t_bg, r_bg = background()
+    t, r = far(t_bg), far(r_bg)
+    if family == "T":
+        t += crossing_heights(EDGES.theta0, 0.05, [0.5])
+        r += crossing_heights(EDGES.theta2, 0.0, [0.2, 0.8])
+    elif family == "R":
+        t += crossing_heights(EDGES.theta0, 0.0, [0.3, 0.6])
+        r += crossing_heights(EDGES.theta2, 0.05, [0.5])
+    for s in ([0.0], [-3.0, 0.0, 0.05, 3.0]):
+        assert_equals_scan(t, s, r, EDGES)
+        assert_points_match(rolling_ball_reconstruct(t, s, r, EDGES), [(0.0, 0.0), (1.0, 1.0)])
+
+
+@pytest.mark.parametrize("where", ["x_lo - tol", "below x_lo", "x_lo", "x_hi", "above x_hi", "x_hi + tol"])
+def test_equal_heights_meeting_at_a_window_edge(where):
+    # three equal T-heights and three equal R-heights meet the S-line s = 0 at
+    # exactly x, on or next to an end of the window or of its columns
+    x_lo, x_hi, tol = *EDGES.x_window, EDGES.match_tol
+    x = {"x_lo - tol": x_lo - tol, "below x_lo": math.nextafter(x_lo, -math.inf), "x_lo": x_lo,
+         "x_hi": x_hi, "above x_hi": math.nextafter(x_hi, math.inf), "x_hi + tol": x_hi + tol}[where]
+    t_bg, r_bg = background()
+    t, r = height_at(EDGES.theta0, 0.0, x), height_at(EDGES.theta2, 0.0, x)
+    for heights in ((t_bg + 3 * [t], [0.0], r_bg + 3 * [r]), (3 * [t] + t_bg, [0.0, 0.01], r_bg + [r]),
+                    (t_bg + [t], [-0.01, 0.0], 3 * [r] + r_bg)):
+        assert_equals_scan(*heights, EDGES)
+        found = len(rolling_ball_reconstruct(*heights, EDGES)) == 3
+        assert found == (where in ("x_lo", "x_hi"))
+
+
 def test_rolling_ball_on_four_hundred_points_stays_small_in_traced_memory():
-    # the sweep and the count work on blocks of S-lines; one pass over every
-    # S-line at once would hold a few 400 x 400 arrays, about 13 MB for the
-    # search and 4 MB for the count
-    f, _ = gen_pl(400, seed=115)
-    cfg = default_cfg(f)
-    heights = heights_for(f, cfg)
-    for run in (rolling_ball_reconstruct, lambda *args: count_comparisons(rolling_ball_reconstruct, *args)):
-        tracemalloc.start()
-        try:
-            run(*heights, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1_000_000
+    # the sweep and the count work on blocks of S-lines, at 400 and at 1 600
+    # points; one pass over every S-line at once would hold a few n x n
+    # arrays, about 13 MB for the search and 4 MB for the count at 400
+    for n in (400, 1600):
+        f, _ = gen_pl(n, seed=115)
+        cfg = default_cfg(f)
+        heights = heights_for(f, cfg)
+        for run in (rolling_ball_reconstruct, lambda *args: count_comparisons(rolling_ball_reconstruct, *args)):
+            tracemalloc.start()
+            try:
+                run(*heights, cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1_000_000
